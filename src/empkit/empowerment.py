@@ -20,10 +20,9 @@ import numpy as np
 from .gaussian import DiagonalGaussian
 from .nets import (
     DynamicsModel,
-    _moments_backprop,
-    _moments_trace,
-    _point_backprop,
-    _point_trace,
+    _fused_backprop,
+    _fused_trace,
+    forward_moments,
     forward_point,
 )
 
@@ -133,28 +132,33 @@ def marginal_transition(
     v0 = np.concatenate(
         [np.zeros(model.state_dim), np.exp(2.0 * policy.action_log_std)]
     )
-    m, v, _ = _moments_trace(model.net, m0, v0)
+    out = forward_moments(model.net, DiagonalGaussian(m0, v0))
     d = model.state_dim
-    return DiagonalGaussian(m[:d], v[:d] + np.exp(2.0 * m[d:]))
+    noise = np.exp(2.0 * out.mean[d:])
+    return DiagonalGaussian(out.mean[:d], out.variance[:d] + noise)
 
 
 def _mi_core(model, state, mean, log_std, eps, want_grad):
-    """Objective (and optionally its gradient) at fixed eps draws."""
-    d = model.state_dim
-    m0 = np.concatenate([state, mean])
-    v0 = np.concatenate([np.zeros(d), np.exp(2.0 * log_std)])
-    mM, vM, trace_m = _moments_trace(model.net, m0, v0)
-    noise = np.exp(2.0 * mM[d:])
-    mq = mM[:d]
-    vq = vM[:d] + noise
+    """Objective (and optionally its gradient) at fixed eps draws.
 
-    sigma = np.exp(log_std)
-    actions = mean + sigma * eps  # (N, k)
+    One fused pass carries the marginal's moment row (state + policy mean)
+    on top of the N sampled actions' rows.
+    """
+    d = model.state_dim
     n = eps.shape[0]
-    X = np.concatenate([np.broadcast_to(state, (n, d)), actions], axis=1)
-    Y, trace_p = _point_trace(model.net, X)
-    mp = Y[:, :d]
-    vp = np.exp(2.0 * Y[:, d:])
+    sigma = np.exp(log_std)
+    var_a = np.exp(2.0 * log_std)
+    X = np.empty((n + 1, d + mean.size))
+    X[:, :d] = state
+    X[0, d:] = mean
+    X[1:, d:] = mean + sigma * eps
+    v0 = np.concatenate([np.zeros(d), var_a])
+    Y, vM, trace = _fused_trace(model.net, X, v0)
+    noise = np.exp(2.0 * Y[0, d:])
+    mq = Y[0, :d]
+    vq = vM[:d] + noise
+    mp = Y[1:, :d]
+    vp = np.exp(2.0 * Y[1:, d:])
 
     dm = mp - mq
     kl = 0.5 * (np.log(vq) - np.log(vp)) + (vp + dm**2) / (2.0 * vq) - 0.5
@@ -167,30 +171,24 @@ def _mi_core(model, state, mean, log_std, eps, want_grad):
     if not want_grad:
         return value, None, None, consistent
 
-    # conditional path: d KL / d (mp, vp) -> network input -> action samples
-    gmp = dm / vq / n
-    gvp = (0.5 / vq - 0.5 / vp) / n
-    gY = np.concatenate([gmp, gvp * 2.0 * vp], axis=1)
-    gX = _point_backprop(trace_p, gY)
-    ga = gX[:, d:]
-    gmean = ga.sum(axis=0)
-    glog = (ga * (sigma * eps)).sum(axis=0)
-
-    # marginal path: d KL / d (mq, vq) -> moment-net input -> policy params
-    gmq = (-dm / vq).sum(axis=0) / n
+    # d KL / d outputs: row 0 through the marginal (mq, vq), rows 1.. through
+    # the conditionals (mp, vp); log-std outputs enter as exp(2 y)
+    gY = np.empty_like(Y)
+    gY[0, :d] = (-dm / vq).sum(axis=0) / n
     gvq = (0.5 / vq - (vp + dm**2) / (2.0 * vq**2)).sum(axis=0) / n
-    g_mM = np.zeros_like(mM)
-    g_vM = np.zeros_like(vM)
-    g_mM[:d] = gmq
-    g_vM[:d] = gvq
-    g_mM[d:] = gvq * 2.0 * noise
-    g_m0, g_v0 = _moments_backprop(trace_m, g_mM, g_vM)
-    gmean = gmean + g_m0[d:]
-    glog = glog + g_v0[d:] * 2.0 * np.exp(2.0 * log_std)
+    gY[0, d:] = gvq * 2.0 * noise
+    gY[1:, :d] = dm / vq / n
+    gY[1:, d:] = (0.5 / vq - 0.5 / vp) / n * 2.0 * vp
+    gX, gv0 = _fused_backprop(trace, gY, np.concatenate([gvq, np.zeros(d)]))
+    ga = gX[1:, d:]
+    gmean = ga.sum(axis=0) + gX[0, d:]
+    glog = (ga * (sigma * eps)).sum(axis=0) + gv0[d:] * 2.0 * var_a
     return value, gmean, glog, consistent
 
 
 def _draw_eps(seed: int, mc_samples: int, action_dim: int) -> np.ndarray:
+    if mc_samples < 1:
+        raise ValueError("mc_samples must be >= 1")
     return np.random.default_rng(seed).standard_normal((mc_samples, action_dim))
 
 
@@ -202,8 +200,6 @@ def mi_lower_bound(
     seed: int,
 ) -> float:
     """Monte Carlo mutual-information objective, deterministic per seed."""
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be >= 1")
     state = np.atleast_1d(np.asarray(state, dtype=float))
     eps = _draw_eps(seed, mc_samples, model.action_dim)
     value, _, _, _ = _mi_core(

@@ -38,25 +38,38 @@ __all__ = [
 
 VAR_FLOOR = 1e-8
 
-# tag -> (f, f', f'')
+
+def _identity_all(z):
+    return z, np.ones(z.shape), np.zeros(z.shape)
+
+
+def _tanh_all(z):
+    t = np.tanh(z)
+    d = 1.0 - t * t
+    return t, d, -2.0 * t * d
+
+
+def _sine_all(z):
+    s = np.sin(z)
+    return s, np.cos(z), -s
+
+
+def _cosine_all(z):
+    c = np.cos(z)
+    return c, -np.sin(z), -c
+
+
+def _square_all(z):
+    return z * z, 2.0 * z, np.full(z.shape, 2.0)
+
+
+# tag -> (f, z -> (f, f', f'') computed together)
 _ACT = {
-    "identity": (
-        lambda z: z,
-        lambda z: np.ones_like(z),
-        lambda z: np.zeros_like(z),
-    ),
-    "tanh": (
-        np.tanh,
-        lambda z: 1.0 - np.tanh(z) ** 2,
-        lambda z: -2.0 * np.tanh(z) * (1.0 - np.tanh(z) ** 2),
-    ),
-    "sine": (np.sin, np.cos, lambda z: -np.sin(z)),
-    "cosine": (np.cos, lambda z: -np.sin(z), lambda z: -np.cos(z)),
-    "square": (
-        lambda z: z * z,
-        lambda z: 2.0 * z,
-        lambda z: np.full_like(z, 2.0),
-    ),
+    "identity": (lambda z: z, _identity_all),
+    "tanh": (np.tanh, _tanh_all),
+    "sine": (np.sin, _sine_all),
+    "cosine": (np.cos, _cosine_all),
+    "square": (lambda z: z * z, _square_all),
 }
 
 ACTIVATION_TAGS = frozenset(_ACT)
@@ -75,6 +88,7 @@ class LayerSpec:
     activation: object = "identity"
     tags: tuple = field(init=False, repr=False, compare=False)
     _groups: tuple = field(init=False, repr=False, compare=False)
+    _weights_sq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -101,10 +115,13 @@ class LayerSpec:
             groups.append((t, idx))
         w.setflags(write=False)
         b.setflags(write=False)
+        w_sq = w * w
+        w_sq.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
         object.__setattr__(self, "tags", tags)
         object.__setattr__(self, "_groups", tuple(groups))
+        object.__setattr__(self, "_weights_sq", w_sq)
 
     @property
     def in_dim(self) -> int:
@@ -117,14 +134,23 @@ class LayerSpec:
     def uniform_tag(self):
         return self.tags[0] if len(self._groups) == 1 else None
 
-    def act(self, z: np.ndarray, order: int = 0) -> np.ndarray:
-        """Apply f (order=0), f' (order=1) or f'' (order=2) elementwise."""
+    def act(self, z: np.ndarray) -> np.ndarray:
+        """Apply f elementwise."""
         if len(self._groups) == 1:
-            return _ACT[self.tags[0]][order](z)
+            return _ACT[self.tags[0]][0](z)
         out = np.empty_like(z)
         for tag, idx in self._groups:
-            out[..., idx] = _ACT[tag][order](z[..., idx])
+            out[..., idx] = _ACT[tag][0](z[..., idx])
         return out
+
+    def act_all(self, z: np.ndarray):
+        """(f, f', f'') elementwise, one call per distinct tag."""
+        if len(self._groups) == 1:
+            return _ACT[self.tags[0]][1](z)
+        out = np.empty((3,) + z.shape)
+        for tag, idx in self._groups:
+            out[..., idx] = _ACT[tag][1](z[..., idx])
+        return out[0], out[1], out[2]
 
 
 @dataclass(frozen=True)
@@ -211,9 +237,8 @@ def propagate_activation(
     """
     if tag not in _ACT:
         raise ValueError(f"unknown activation tag: {tag!r}")
-    f, df, _ = _ACT[tag]
-    mean = f(g.mean)
-    var = np.maximum(df(g.mean) ** 2 * g.variance, var_floor)
+    mean, df, _ = _ACT[tag][1](g.mean)
+    var = np.maximum(df**2 * g.variance, var_floor)
     return DiagonalGaussian(mean, var)
 
 
@@ -221,59 +246,49 @@ def forward_moments(
     net: FeedforwardNet, g: DiagonalGaussian, var_floor: float = VAR_FLOOR
 ) -> DiagonalGaussian:
     """Push a diagonal Gaussian through the network layer by layer."""
-    m, v, _ = _moments_trace(net, g.mean, g.variance, var_floor)
-    return DiagonalGaussian(m, v)
+    H, v, _ = _fused_trace(net, g.mean[None, :], g.variance, var_floor)
+    return DiagonalGaussian(H[0], v)
 
 
 # ---------------------------------------------------------------------------
-# traced forward passes + hand-rolled reverse mode, used by the empowerment
+# fused forward pass + hand-rolled reverse mode, used by the empowerment
 # objective gradient (the nets here are tiny; autodiff frameworks are not
 # worth the dependency).
 
 
-def _moments_trace(net, m, v, var_floor=VAR_FLOOR):
-    """Forward moment pass recording per-layer intermediates for backprop."""
+def _fused_trace(net, H, v, var_floor=VAR_FLOOR):
+    """Moment row and sample rows pushed through the net together.
+
+    Row 0 of ``H`` is the mean of a diagonal Gaussian with variance ``v``;
+    it follows the moment rule while rows 1.. get plain point evaluation,
+    all with one matrix product per layer.  Returns the output rows, the
+    propagated variance and the trace that ``_fused_backprop`` consumes.
+    """
     trace = []
     for layer in net.layers:
-        ma = layer.weights @ m + layer.bias
-        va = (layer.weights**2) @ v
-        raw = layer.act(ma, 1) ** 2 * va
+        Z = H @ layer.weights.T + layer.bias
+        va = layer._weights_sq @ v
+        H, dF, d2F = layer.act_all(Z)
+        raw = dF[0] ** 2 * va
         mask = raw > var_floor
-        m = layer.act(ma)
         v = np.where(mask, raw, var_floor)
-        trace.append((layer, ma, va, mask))
-    return m, v, trace
+        trace.append((layer, dF, d2F[0], va, mask))
+    return H, v, trace
 
 
-def _moments_backprop(trace, gm, gv):
-    """Reverse pass of _moments_trace; returns grads wrt input mean/variance."""
-    for layer, ma, va, mask in reversed(trace):
-        df = layer.act(ma, 1)
-        d2f = layer.act(ma, 2)
-        gv_raw = np.where(mask, gv, 0.0)
-        gma = df * gm + 2.0 * df * d2f * va * gv_raw
-        gva = df**2 * gv_raw
-        gm = layer.weights.T @ gma
-        gv = (layer.weights**2).T @ gva
-    return gm, gv
+def _fused_backprop(trace, G, gv):
+    """Reverse pass of ``_fused_trace``.
 
-
-def _point_trace(net, x):
-    """Batched forward pass recording pre-activations for backprop."""
-    h = np.asarray(x, dtype=float)
-    trace = []
-    for layer in net.layers:
-        z = h @ layer.weights.T + layer.bias
-        trace.append((layer, z))
-        h = layer.act(z)
-    return h, trace
-
-
-def _point_backprop(trace, gy):
-    for layer, z in reversed(trace):
-        gz = layer.act(z, 1) * gy
-        gy = gz @ layer.weights
-    return gy
+    ``G`` holds the gradients wrt the output rows and ``gv`` the gradient
+    wrt the propagated variance; returns both wrt the inputs.
+    """
+    for layer, dF, d2f, va, mask in reversed(trace):
+        gv = np.where(mask, gv, 0.0)
+        GZ = dF * G
+        GZ[0] += 2.0 * dF[0] * d2f * va * gv
+        gv = (dF[0] ** 2 * gv) @ layer._weights_sq
+        G = GZ @ layer.weights
+    return G, gv
 
 
 # ---------------------------------------------------------------------------

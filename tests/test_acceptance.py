@@ -37,13 +37,26 @@ from empkit.empowerment import GaussianPolicy
 
 
 @contextmanager
-def report(name):
+def report(name, capsys=None):
+    """Print one PASS/FAIL line for ``name``, followed by the notes the
+    block appends to the yielded list; with ``capsys`` the line bypasses
+    output capture, so it shows in a plain ``pytest -q`` log too."""
+    notes = []
+
+    def emit(status):
+        line = " ".join([f"{name}: {status}", *notes])
+        if capsys is None:
+            print(line)
+        else:
+            with capsys.disabled():
+                print(line)
+
     try:
-        yield
+        yield notes
     except BaseException:
-        print(f"{name}: FAIL")
+        emit("FAIL")
         raise
-    print(f"{name}: PASS")
+    emit("PASS")
 
 
 def kl_quadrature(mp, vp, mq, vq):
@@ -184,8 +197,8 @@ def test_ac4_gradient_check():
 
 
 @pytest.mark.slow
-def test_ac5_oracle_agreement():
-    with report("AC-5 oracle rank agreement and speedup"):
+def test_ac5_oracle_agreement(capsys):
+    with report("AC-5 oracle rank agreement and speedup", capsys) as notes:
         t_start = time.time()
         model = build_pendulum_dynamics(PendulumParams())
         # deterministic sweep from the low-empowerment corner to the peak:
@@ -193,7 +206,7 @@ def test_ac5_oracle_agreement():
         ts = np.linspace(0.0, 1.0, 25)
         states = [np.array([-np.pi * (1 - u), -8.0 * (1 - u)]) for u in ts]
 
-        eff, orc, speedups = [], [], []
+        eff, orc, speedups, t_effs, t_orcs = [], [], [], [], []
         for i, s in enumerate(states):
             t0 = time.perf_counter()
             est = maximize_empowerment(model, s, OptimizerOptions(seed=i))
@@ -205,7 +218,14 @@ def test_ac5_oracle_agreement():
             eff.append(est.value)
             orc.append(res.capacity)
             speedups.append(t_orc / t_eff)
+            t_effs.append(t_eff)
+            t_orcs.append(t_orc)
 
+        notes.append(
+            f"(median speed-up {np.median(speedups):.2f}; median ms: "
+            f"estimator {1e3 * np.median(t_effs):.1f}, "
+            f"oracle {1e3 * np.median(t_orcs):.1f})"
+        )
         rho = spearmanr(eff, orc).statistic
         assert rho >= 0.9
         assert np.median(speedups) > 1.0

@@ -10,7 +10,9 @@ from empkit import (
     DynamicsModel,
     FeedforwardNet,
     LayerSpec,
+    PendulumParams,
     blahut_arimoto,
+    build_pendulum_dynamics,
     channel_from_csv,
     channel_to_csv,
     discretize_dynamics,
@@ -30,6 +32,44 @@ def two_row_capacity_grid_search(P, n=20_001):
             mi += w * np.sum(row[pos] * np.log(row[pos] / m[pos]))
         best = max(best, mi)
     return best
+
+
+def textbook_blahut_arimoto(P, tol, max_iter=10_000):
+    """Reference: the update written out with full-matrix temporaries."""
+    logP = np.zeros_like(P)
+    pos = P > 0
+    logP[pos] = np.log(P[pos])
+    p = np.full(P.shape[0], 1.0 / P.shape[0])
+    lower_bounds = []
+    for it in range(1, max_iter + 1):
+        m = p @ P
+        logm = np.where(m > 0, np.log(np.where(m > 0, m, 1.0)), 0.0)
+        D = np.einsum("as,as->a", P, np.where(pos, logP - logm, 0.0))
+        lower, upper = float(p @ D), float(np.max(D))
+        lower_bounds.append(lower)
+        if upper - lower < tol:
+            break
+        w = p * np.exp(D - upper)
+        p = w / w.sum()
+    return max(lower, 0.0), it, np.array(lower_bounds)
+
+
+def ac5_channel():
+    """The 64 x 41^2 pendulum channel that oracle_empowerment builds at one
+    state of the AC-5 sweep (its midpoint, angle -pi/2, velocity -4)."""
+    model = build_pendulum_dynamics(PendulumParams())
+    state = np.array([-np.pi / 2, -4.0])
+    acts = np.linspace(-4.0, 4.0, 64)
+    conds = [model.conditional(state, [a]) for a in acts]
+    means = np.array([g.mean for g in conds])
+    pad = 6.0 * np.sqrt(np.array([g.variance for g in conds])).max(axis=0)
+    edges = [
+        np.linspace(means[:, d].min() - pad[d], means[:, d].max() + pad[d], 42)
+        for d in range(2)
+    ]
+    P = discretize_dynamics(model, state, [[a] for a in acts], edges).transition
+    assert P.shape == (64, 41 * 41)
+    return P
 
 
 def shift_model(sigma=0.5):
@@ -147,6 +187,35 @@ class TestBlahutArimoto:
         assert isinstance(res, CapacityResult)
         assert res.iterations >= 1
         assert len(res.lower_bounds) == res.iterations
+        assert res.gap >= 0
+        assert not res.converged or res.gap < 1e-9
+        P = np.random.default_rng(10).dirichlet(np.ones(4), size=3)
+        cut = blahut_arimoto(DiscreteChannel(P), tol=1e-6, max_iter=1)
+        assert cut.gap >= 1e-6
+        assert not cut.converged
+
+    @pytest.mark.parametrize("case", ["zero_column", "dirichlet", "ac5_state"])
+    def test_matches_textbook_update(self, case):
+        if case == "zero_column":
+            channels = [
+                np.array(
+                    [[0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 0.3, 0.7], [0.2, 0.0, 0.0, 0.8]]
+                )
+            ]
+            tol = 1e-12
+        elif case == "dirichlet":
+            rng = np.random.default_rng(11)
+            channels = [rng.dirichlet(np.ones(6), size=5) for _ in range(5)]
+            tol = 1e-12
+        else:
+            channels = [ac5_channel()]
+            tol = 1e-3
+        for P in channels:
+            res = blahut_arimoto(DiscreteChannel(P), tol=tol)
+            capacity, iterations, lower_bounds = textbook_blahut_arimoto(P, tol)
+            assert res.iterations == iterations
+            assert res.capacity == pytest.approx(capacity, abs=1e-12)
+            np.testing.assert_allclose(res.lower_bounds, lower_bounds, rtol=0, atol=1e-12)
 
 
 class TestDiscretizeDynamics:

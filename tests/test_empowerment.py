@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from empkit import (
+    DiagonalGaussian,
     DynamicsModel,
     FeedforwardNet,
     GaussianPolicy,
@@ -10,6 +11,7 @@ from empkit import (
     PendulumParams,
     build_pendulum_dynamics,
     empowerment_landscape,
+    forward_moments,
     kl_diag_gaussian,
     marginal_transition,
     maximize_empowerment,
@@ -18,6 +20,7 @@ from empkit import (
     select_action,
 )
 from empkit.empowerment import LOG_STD_MAX, LOG_STD_MIN
+from empkit.nets import VAR_FLOOR
 
 
 def shift_model(sigma=0.5):
@@ -129,24 +132,61 @@ class TestMiLowerBound:
 
     def test_invalid_mc_samples(self):
         model = shift_model()
-        with pytest.raises(ValueError):
-            mi_lower_bound(model, [0.0], GaussianPolicy([0.0], [0.0]), 0, 0)
+        for objective in (mi_lower_bound, mi_lower_bound_with_gradient):
+            with pytest.raises(ValueError):
+                objective(model, [0.0], GaussianPolicy([0.0], [0.0]), 0, 0)
 
-
-class TestGradient:
     @pytest.mark.parametrize("case", ["shift", "pendulum"])
-    def test_matches_central_finite_differences(self, case):
+    def test_equals_mean_kl_of_conditionals_to_marginal(self, case):
+        # the objective's fused pass against its definition: conditionals
+        # from point evaluation, the marginal from the moment pass alone
         if case == "shift":
             model = shift_model(0.5)
             state = np.array([0.3])
         else:
             model = build_pendulum_dynamics(PendulumParams())
             state = np.array([0.7, -2.0])
+        rng = np.random.default_rng(12)
+        for seed in range(4):
+            pol = GaussianPolicy(rng.normal(size=1), rng.uniform(-2.0, 0.5, 1))
+            eps = np.random.default_rng(seed).standard_normal((16, 1))
+            actions = pol.action_mean + np.exp(pol.action_log_std) * eps
+            marg = marginal_transition(model, state, pol)
+            expected = np.mean(
+                [kl_diag_gaussian(model.conditional(state, a), marg) for a in actions]
+            )
+            value = mi_lower_bound(model, state, pol, mc_samples=16, seed=seed)
+            assert value == pytest.approx(expected, rel=1e-12)
+
+
+class TestGradient:
+    @pytest.mark.parametrize("case", ["shift", "pendulum", "floored"])
+    def test_matches_central_finite_differences(self, case):
+        offset = 0.0
+        if case == "shift":
+            model = shift_model(0.5)
+            state = np.array([0.3])
+        elif case == "pendulum":
+            model = build_pendulum_dynamics(PendulumParams())
+            state = np.array([0.7, -2.0])
+        else:
+            # saturated tanh: the moment pass floors the action unit's
+            # variance at VAR_FLOOR, and with model noise 1e-8 the floor is
+            # half the marginal variance, so the reverse pass must drop the
+            # floored unit's variance path or the gradient is visibly off
+            model = tanh_model(1e-4)
+            state = np.array([0.0])
+            offset = 8.0
         rng = np.random.default_rng(5)
         for _ in range(5):
-            mean = rng.normal(size=1)
+            mean = offset + rng.normal(size=1)
             log_std = rng.uniform(-2.0, 0.5, 1)
             pol = GaussianPolicy(mean, log_std)
+            if case == "floored":
+                g = DiagonalGaussian(
+                    np.concatenate([state, mean]), [0.0, np.exp(2.0 * log_std[0])]
+                )
+                assert forward_moments(model.net, g).variance[0] == VAR_FLOOR
             value, gmean, glog = mi_lower_bound_with_gradient(
                 model, state, pol, mc_samples=16, seed=11
             )
