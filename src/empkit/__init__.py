@@ -16,8 +16,6 @@ from .nets import (
     forward_point,
     net_from_json,
     net_to_json,
-    propagate_activation,
-    propagate_linear,
 )
 from .channel import (
     CapacityResult,

@@ -19,16 +19,23 @@ from .pendulum import PendulumParams
 __all__ = ["RunConfig", "load_config"]
 
 
+def _from_fields(cls, config):
+    """``cls`` built from the config fields that share its field names."""
+    return cls(**{f.name: getattr(config, f.name) for f in dataclasses.fields(cls)})
+
+
+# pendulum and optimizer defaults are those of PendulumParams and
+# OptimizerOptions, so an empty config runs the library defaults
 @dataclass(frozen=True)
 class RunConfig:
     # pendulum
-    mass: float = 1.0
-    length: float = 1.0
-    gravity: float = 9.81
-    friction: float = 0.05
-    dt: float = 0.05
-    max_torque: float = 2.0
-    noise_std: tuple = (0.01, 0.05)
+    mass: float = PendulumParams.mass
+    length: float = PendulumParams.length
+    gravity: float = PendulumParams.gravity
+    friction: float = PendulumParams.friction
+    dt: float = PendulumParams.dt
+    max_torque: float = PendulumParams.max_torque
+    noise_std: tuple = PendulumParams.noise_std
     # landscape grid
     angle_min: float = -math.pi
     angle_max: float = math.pi
@@ -37,10 +44,10 @@ class RunConfig:
     velocity_max: float = 8.0
     velocity_count: int = 41
     # optimizer
-    max_iter: int = 200
-    grad_tol: float = 1e-4
-    restarts: int = 4
-    mc_samples: int = 32
+    max_iter: int = OptimizerOptions.max_iter
+    grad_tol: float = OptimizerOptions.grad_tol
+    restarts: int = OptimizerOptions.restarts
+    mc_samples: int = OptimizerOptions.mc_samples
     # oracle discretization
     oracle_actions: int = 64
     oracle_bins: int = 41
@@ -51,7 +58,7 @@ class RunConfig:
     oracle_max_iter: int = 10_000
     # io
     out_dir: str = "out"
-    seed: int = 0
+    seed: int = OptimizerOptions.seed
 
     def __post_init__(self):
         if self.angle_count < 2 or self.velocity_count < 2:
@@ -59,24 +66,11 @@ class RunConfig:
         object.__setattr__(self, "noise_std", tuple(self.noise_std))
 
     def pendulum_params(self) -> PendulumParams:
-        return PendulumParams(
-            mass=self.mass,
-            length=self.length,
-            gravity=self.gravity,
-            friction=self.friction,
-            dt=self.dt,
-            max_torque=self.max_torque,
-            noise_std=self.noise_std,
-        )
+        return _from_fields(PendulumParams, self)
 
     def optimizer_options(self, seed=None) -> OptimizerOptions:
-        return OptimizerOptions(
-            max_iter=self.max_iter,
-            grad_tol=self.grad_tol,
-            restarts=self.restarts,
-            mc_samples=self.mc_samples,
-            seed=self.seed if seed is None else seed,
-        )
+        opts = _from_fields(OptimizerOptions, self)
+        return opts if seed is None else dataclasses.replace(opts, seed=seed)
 
     def angles(self) -> np.ndarray:
         return np.linspace(self.angle_min, self.angle_max, self.angle_count)

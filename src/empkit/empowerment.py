@@ -18,13 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gaussian import DiagonalGaussian
-from .nets import (
-    DynamicsModel,
-    _fused_backprop,
-    _fused_trace,
-    forward_moments,
-    forward_point,
-)
+from .nets import DynamicsModel, _fused_backprop, _fused_trace, forward_point
 
 __all__ = [
     "LOG_STD_MIN",
@@ -114,6 +108,40 @@ class EmpowermentEstimate:
     seed: int
 
 
+def _as_vector(x, dim: int, what: str) -> np.ndarray:
+    """``x`` as a finite float vector of length ``dim``, else ValueError."""
+    v = np.atleast_1d(np.asarray(x, dtype=float))
+    if v.shape != (dim,) or not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} must be a finite vector of length {dim}")
+    return v
+
+
+def _check_policy(model: DynamicsModel, policy: GaussianPolicy) -> None:
+    if policy.dim != model.action_dim:
+        raise ValueError(f"policy must have dimension {model.action_dim}")
+
+
+def _marginal_pass(model, state, mean, var_a, actions):
+    """The one place the marginal is formed: a fused pass of its moment
+    row and the sampled action rows.
+
+    Row 0 carries the state with the policy mean (variance 0 on the state
+    slots, ``var_a`` on the action slots); rows 1.. carry the state with
+    each row of ``actions``.  Returns the marginal next-state mean and
+    variance (see ``marginal_transition``), the model noise part of that
+    variance, the output rows and the trace for ``_fused_backprop``.
+    """
+    d = model.state_dim
+    X = np.empty((actions.shape[0] + 1, d + mean.size))
+    X[:, :d] = state
+    X[0, d:] = mean
+    X[1:, d:] = actions
+    v0 = np.concatenate([np.zeros(d), var_a])
+    Y, vM, trace = _fused_trace(model.net, X, v0)
+    noise = np.exp(2.0 * Y[0, d:])
+    return Y[0, :d], vM[:d] + noise, noise, Y, trace
+
+
 def marginal_transition(
     model: DynamicsModel, state, policy: GaussianPolicy
 ) -> DiagonalGaussian:
@@ -125,38 +153,26 @@ def marginal_transition(
     is the propagated mean spread plus the intrinsic model noise
     exp(2 * propagated log-std mean).
     """
-    state = np.atleast_1d(np.asarray(state, dtype=float))
-    if state.size != model.state_dim or policy.dim != model.action_dim:
-        raise ValueError("state/policy dimensions do not match model")
-    m0 = np.concatenate([state, policy.action_mean])
-    v0 = np.concatenate(
-        [np.zeros(model.state_dim), np.exp(2.0 * policy.action_log_std)]
+    state = _as_vector(state, model.state_dim, "state")
+    _check_policy(model, policy)
+    mq, vq, _, _, _ = _marginal_pass(
+        model,
+        state,
+        policy.action_mean,
+        np.exp(2.0 * policy.action_log_std),
+        np.empty((0, model.action_dim)),
     )
-    out = forward_moments(model.net, DiagonalGaussian(m0, v0))
-    d = model.state_dim
-    noise = np.exp(2.0 * out.mean[d:])
-    return DiagonalGaussian(out.mean[:d], out.variance[:d] + noise)
+    return DiagonalGaussian(mq, vq)
 
 
 def _mi_core(model, state, mean, log_std, eps, want_grad):
-    """Objective (and optionally its gradient) at fixed eps draws.
-
-    One fused pass carries the marginal's moment row (state + policy mean)
-    on top of the N sampled actions' rows.
-    """
+    """Objective (and optionally its gradient) at fixed eps draws."""
     d = model.state_dim
     n = eps.shape[0]
     sigma = np.exp(log_std)
     var_a = np.exp(2.0 * log_std)
-    X = np.empty((n + 1, d + mean.size))
-    X[:, :d] = state
-    X[0, d:] = mean
-    X[1:, d:] = mean + sigma * eps
-    v0 = np.concatenate([np.zeros(d), var_a])
-    Y, vM, trace = _fused_trace(model.net, X, v0)
-    noise = np.exp(2.0 * Y[0, d:])
-    mq = Y[0, :d]
-    vq = vM[:d] + noise
+    actions = mean + sigma * eps
+    mq, vq, noise, Y, trace = _marginal_pass(model, state, mean, var_a, actions)
     mp = Y[1:, :d]
     vp = np.exp(2.0 * Y[1:, d:])
 
@@ -192,6 +208,16 @@ def _draw_eps(seed: int, mc_samples: int, action_dim: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((mc_samples, action_dim))
 
 
+def _objective(model, state, policy, mc_samples, seed, want_grad):
+    """Validated inputs, the seed's eps draw and one ``_mi_core`` call."""
+    state = _as_vector(state, model.state_dim, "state")
+    _check_policy(model, policy)
+    eps = _draw_eps(seed, mc_samples, model.action_dim)
+    return _mi_core(
+        model, state, policy.action_mean, policy.action_log_std, eps, want_grad
+    )
+
+
 def mi_lower_bound(
     model: DynamicsModel,
     state,
@@ -200,12 +226,7 @@ def mi_lower_bound(
     seed: int,
 ) -> float:
     """Monte Carlo mutual-information objective, deterministic per seed."""
-    state = np.atleast_1d(np.asarray(state, dtype=float))
-    eps = _draw_eps(seed, mc_samples, model.action_dim)
-    value, _, _, _ = _mi_core(
-        model, state, policy.action_mean, policy.action_log_std, eps, False
-    )
-    return value
+    return _objective(model, state, policy, mc_samples, seed, False)[0]
 
 
 def mi_lower_bound_with_gradient(
@@ -216,12 +237,7 @@ def mi_lower_bound_with_gradient(
     seed: int,
 ):
     """Objective plus analytic gradient wrt (action_mean, action_log_std)."""
-    state = np.atleast_1d(np.asarray(state, dtype=float))
-    eps = _draw_eps(seed, mc_samples, model.action_dim)
-    value, gmean, glog, _ = _mi_core(
-        model, state, policy.action_mean, policy.action_log_std, eps, True
-    )
-    return value, gmean, glog
+    return _objective(model, state, policy, mc_samples, seed, True)[:3]
 
 
 def _ascend(model, state, eps, mean, log_std, opts):
@@ -314,16 +330,16 @@ def maximize_empowerment(
     components pushing against an active clamp are zeroed) at the returned
     policy is below ``grad_tol`` in infinity norm.
     """
-    state = np.atleast_1d(np.asarray(state, dtype=float))
-    if state.size != model.state_dim:
-        raise ValueError("state dimension does not match model")
+    state = _as_vector(state, model.state_dim, "state")
     k = model.action_dim
 
     best = None
     failures = 0
     for r in range(opts.restarts):
-        rng = np.random.default_rng(opts.seed + r)
-        eps = rng.standard_normal((opts.mc_samples, k))
+        # one stream per restart: its first rows are eps, its last row the
+        # initial-mean kick
+        draw = _draw_eps(opts.seed + r, opts.mc_samples + 1, k)
+        eps = draw[:-1]
         # restart 0 starts at the canonical initial policy; later restarts
         # perturb the initial mean to reach other basins of the objective.
         # The perturbation is kept small: for saturating dynamics the
@@ -331,7 +347,7 @@ def maximize_empowerment(
         # activations' linear range, and far-out means can inflate the
         # objective spuriously (the propagated marginal variance collapses
         # while the sampled conditional means still spread).
-        mean = 0.5 * rng.standard_normal(k) if r > 0 else np.zeros(k)
+        mean = 0.5 * draw[-1] if r > 0 else np.zeros(k)
         try:
             best_r, iters = _ascend(model, state, eps, mean, -np.ones(k), opts)
         except FloatingPointError:
@@ -361,10 +377,10 @@ def select_action(model: DynamicsModel, state, candidates, opts: OptimizerOption
     candidate whose predicted state has the highest empowerment, together
     with that value.  Ties break toward the lowest candidate index.
     """
-    cands = [np.atleast_1d(np.asarray(a, dtype=float)) for a in candidates]
+    state = _as_vector(state, model.state_dim, "state")
+    cands = [_as_vector(a, model.action_dim, "candidate action") for a in candidates]
     if not cands:
         raise ValueError("candidates must be non-empty")
-    state = np.atleast_1d(np.asarray(state, dtype=float))
     d = model.state_dim
     best_a = None
     best_v = -np.inf
@@ -379,15 +395,18 @@ def select_action(model: DynamicsModel, state, candidates, opts: OptimizerOption
 def empowerment_landscape(model: DynamicsModel, state_grid, opts: OptimizerOptions):
     """Empowerment per grid state, with per-state seeds ``opts.seed + index``.
 
-    Per-state optimizer failures yield a None entry instead of aborting
-    the whole sweep.  Output order matches input order.
+    Every grid state is checked before the sweep starts: a non-finite or
+    wrong-length one raises ValueError.  Per-state optimizer failures
+    (all restarts diverged) yield a None entry instead of aborting the
+    whole sweep.  Output order matches input order.
     """
+    states = [_as_vector(s, model.state_dim, "state") for s in state_grid]
     results = []
-    for i, s in enumerate(state_grid):
+    for i, s in enumerate(states):
         per_state = replace(opts, seed=opts.seed + i)
         try:
             est = maximize_empowerment(model, s, per_state)
         except RuntimeError:
             est = None
-        results.append((np.atleast_1d(np.asarray(s, dtype=float)), est))
+        results.append((s, est))
     return results

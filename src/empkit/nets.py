@@ -29,8 +29,6 @@ __all__ = [
     "FeedforwardNet",
     "DynamicsModel",
     "forward_point",
-    "propagate_linear",
-    "propagate_activation",
     "forward_moments",
     "net_to_json",
     "net_from_json",
@@ -131,9 +129,6 @@ class LayerSpec:
     def out_dim(self) -> int:
         return self.weights.shape[0]
 
-    def uniform_tag(self):
-        return self.tags[0] if len(self._groups) == 1 else None
-
     def act(self, z: np.ndarray) -> np.ndarray:
         """Apply f elementwise."""
         if len(self._groups) == 1:
@@ -216,37 +211,12 @@ def forward_point(net: FeedforwardNet, x) -> np.ndarray:
     return h
 
 
-def propagate_linear(layer: LayerSpec, g: DiagonalGaussian) -> DiagonalGaussian:
-    """Exact diagonal moment rule for an affine (identity-activation) layer."""
-    if layer.uniform_tag() != "identity":
-        raise ValueError("propagate_linear requires an identity-activation layer")
-    if g.dim != layer.in_dim:
-        raise ValueError("input dimension mismatch")
-    mean = layer.weights @ g.mean + layer.bias
-    var = (layer.weights**2) @ g.variance
-    return DiagonalGaussian(mean, var)
+def forward_moments(net: FeedforwardNet, g: DiagonalGaussian) -> DiagonalGaussian:
+    """Push a diagonal Gaussian through the network layer by layer.
 
-
-def propagate_activation(
-    tag: str, g: DiagonalGaussian, var_floor: float = VAR_FLOOR
-) -> DiagonalGaussian:
-    """First-order delta rule for an elementwise activation.
-
-    mean -> f(mu), variance -> f'(mu)^2 var, floored at ``var_floor``.
-    Exact for tag='identity' (up to the floor).
+    Each propagated variance is floored at ``VAR_FLOOR``.
     """
-    if tag not in _ACT:
-        raise ValueError(f"unknown activation tag: {tag!r}")
-    mean, df, _ = _ACT[tag][1](g.mean)
-    var = np.maximum(df**2 * g.variance, var_floor)
-    return DiagonalGaussian(mean, var)
-
-
-def forward_moments(
-    net: FeedforwardNet, g: DiagonalGaussian, var_floor: float = VAR_FLOOR
-) -> DiagonalGaussian:
-    """Push a diagonal Gaussian through the network layer by layer."""
-    H, v, _ = _fused_trace(net, g.mean[None, :], g.variance, var_floor)
+    H, v, _ = _fused_trace(net, g.mean[None, :], g.variance)
     return DiagonalGaussian(H[0], v)
 
 
@@ -256,7 +226,7 @@ def forward_moments(
 # worth the dependency).
 
 
-def _fused_trace(net, H, v, var_floor=VAR_FLOOR):
+def _fused_trace(net, H, v):
     """Moment row and sample rows pushed through the net together.
 
     Row 0 of ``H`` is the mean of a diagonal Gaussian with variance ``v``;
@@ -270,8 +240,8 @@ def _fused_trace(net, H, v, var_floor=VAR_FLOOR):
         va = layer._weights_sq @ v
         H, dF, d2F = layer.act_all(Z)
         raw = dF[0] ** 2 * va
-        mask = raw > var_floor
-        v = np.where(mask, raw, var_floor)
+        mask = raw > VAR_FLOOR
+        v = np.where(mask, raw, VAR_FLOOR)
         trace.append((layer, dF, d2F[0], va, mask))
     return H, v, trace
 
@@ -296,11 +266,11 @@ def _fused_backprop(trace, G, gv):
 
 
 def _layer_to_dict(layer: LayerSpec) -> dict:
-    tag = layer.uniform_tag()
+    uniform = len(layer._groups) == 1
     return {
         "weights": layer.weights.tolist(),
         "bias": layer.bias.tolist(),
-        "activation": tag if tag is not None else list(layer.tags),
+        "activation": layer.tags[0] if uniform else list(layer.tags),
     }
 
 

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from empkit import OptimizerOptions, PendulumParams
 from empkit.cli import main
 from empkit.config import RunConfig, load_config
 
@@ -35,6 +36,10 @@ class TestConfig:
         assert cfg.angle_min == -np.pi and cfg.angle_max == np.pi
         assert cfg.velocity_min == -8.0 and cfg.velocity_max == 8.0
         assert len(cfg.grid_states()) == 41 * 41
+
+    def test_library_defaults(self):
+        assert RunConfig().pendulum_params() == PendulumParams()
+        assert RunConfig().optimizer_options() == OptimizerOptions()
 
     def test_grid_order_angle_fastest(self):
         cfg = RunConfig(angle_count=3, velocity_count=2)

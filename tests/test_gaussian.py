@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from empkit import DiagonalGaussian, kl_diag_gaussian, sample
@@ -73,6 +76,16 @@ class TestKL:
             p = DiagonalGaussian(rng.normal(size=d), rng.uniform(0.1, 5.0, d))
             q = DiagonalGaussian(rng.normal(size=d), rng.uniform(0.1, 5.0, d))
             assert kl_diag_gaussian(p, q) >= 0.0
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 4))
+    def test_nonnegative_and_zero_only_at_identity(self, data, dim):
+        means = arrays(float, (2, dim), elements=st.floats(-1e3, 1e3))
+        variances = arrays(float, (2, dim), elements=st.floats(1e-6, 1e6))
+        (mp, mq), (vp, vq) = data.draw(means), data.draw(variances)
+        p, q = DiagonalGaussian(mp, vp), DiagonalGaussian(mq, vq)
+        assert kl_diag_gaussian(p, p) == 0.0
+        assert kl_diag_gaussian(p, q) >= 0.0
 
     def test_additive_across_dimensions(self):
         rng = np.random.default_rng(1)

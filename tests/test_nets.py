@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import empkit.nets
 from empkit import (
     DiagonalGaussian,
     FeedforwardNet,
@@ -9,8 +10,6 @@ from empkit import (
     forward_point,
     net_from_json,
     net_to_json,
-    propagate_activation,
-    propagate_linear,
 )
 
 
@@ -81,49 +80,54 @@ class TestForwardPoint:
             np.testing.assert_allclose(batch[i], forward_point(net, x), rtol=1e-14)
 
 
+def one_layer(weights, bias, activation="identity"):
+    return FeedforwardNet((LayerSpec(weights, bias, activation),))
+
+
+def unit_activation(tag):
+    """A single identity-weight unit: the activation rule on its own."""
+    return one_layer([[1.0]], [0.0], tag)
+
+
 class TestPropagateLinear:
+    """The affine moment rule, on single identity-activation layers."""
+
     def test_scale_by_two_quadruples_variance(self):
-        layer = LayerSpec([[2.0]], [0.0])
-        out = propagate_linear(layer, DiagonalGaussian([1.0], [0.25]))
+        net = one_layer([[2.0]], [0.0])
+        out = forward_moments(net, DiagonalGaussian([1.0], [0.25]))
         np.testing.assert_allclose(out.mean, [2.0])
         np.testing.assert_allclose(out.variance, [1.0])
 
     def test_translation_leaves_variance(self):
-        layer = LayerSpec(np.eye(2), [5.0, -3.0])
+        bias = np.array([5.0, -3.0])
         g = DiagonalGaussian([0.0, 1.0], [0.3, 0.7])
-        out = propagate_linear(layer, g)
-        np.testing.assert_allclose(out.mean, g.mean + layer.bias)
+        out = forward_moments(one_layer(np.eye(2), bias), g)
+        np.testing.assert_allclose(out.mean, g.mean + bias)
         np.testing.assert_allclose(out.variance, g.variance)
 
     def test_sum_of_independent_variances(self):
-        layer = LayerSpec([[1.0, 1.0]], [0.0])
-        out = propagate_linear(layer, DiagonalGaussian([0.0, 0.0], [1.0, 1.0]))
+        net = one_layer([[1.0, 1.0]], [0.0])
+        out = forward_moments(net, DiagonalGaussian([0.0, 0.0], [1.0, 1.0]))
         np.testing.assert_allclose(out.mean, [0.0])
         np.testing.assert_allclose(out.variance, [2.0])
 
-    def test_requires_identity_activation(self):
-        layer = LayerSpec([[1.0]], [0.0], "tanh")
-        with pytest.raises(ValueError):
-            propagate_linear(layer, DiagonalGaussian([0.0], [1.0]))
-
 
 class TestPropagateActivation:
+    """The delta rule of each activation, on single-unit nets."""
+
     def test_identity_case(self):
-        out = propagate_activation("identity", DiagonalGaussian([3.0], [2.0]))
+        net = unit_activation("identity")
+        out = forward_moments(net, DiagonalGaussian([3.0], [2.0]))
         np.testing.assert_allclose(out.mean, [3.0])
         np.testing.assert_allclose(out.variance, [2.0])
 
     def test_tanh_odd_symmetry_at_zero(self):
-        out = propagate_activation("tanh", DiagonalGaussian([0.0], [0.5]))
+        out = forward_moments(unit_activation("tanh"), DiagonalGaussian([0.0], [0.5]))
         assert out.mean[0] == 0.0
-
-    def test_unknown_tag(self):
-        with pytest.raises(ValueError):
-            propagate_activation("softplus", DiagonalGaussian([0.0], [1.0]))
 
     def test_sine_matches_monte_carlo(self):
         mu, var = 0.5, 0.01
-        out = propagate_activation("sine", DiagonalGaussian([mu], [var]))
+        out = forward_moments(unit_activation("sine"), DiagonalGaussian([mu], [var]))
         rng = np.random.default_rng(11)
         draws = np.sin(mu + np.sqrt(var) * rng.standard_normal(1_000_000))
         assert out.mean[0] == pytest.approx(np.sin(mu), abs=1e-3)
@@ -132,12 +136,14 @@ class TestPropagateActivation:
         assert out.variance[0] == pytest.approx(draws.var(), rel=5e-2)
 
     def test_variance_floor_applied(self):
-        out = propagate_activation("identity", DiagonalGaussian([1.0], [0.0]))
+        net = unit_activation("identity")
+        out = forward_moments(net, DiagonalGaussian([1.0], [0.0]))
         assert out.variance[0] == 1e-8
 
 
 class TestForwardMoments:
-    def test_zero_input_variance_mean_equals_point_forward(self):
+    def test_zero_input_variance_mean_equals_point_forward(self, monkeypatch):
+        monkeypatch.setattr(empkit.nets, "VAR_FLOOR", 0.0)
         rng = np.random.default_rng(5)
         net = FeedforwardNet(
             (
@@ -146,7 +152,7 @@ class TestForwardMoments:
             )
         )
         mean = rng.normal(size=2)
-        out = forward_moments(net, DiagonalGaussian(mean, np.zeros(2)), var_floor=0.0)
+        out = forward_moments(net, DiagonalGaussian(mean, np.zeros(2)))
         np.testing.assert_allclose(out.mean, forward_point(net, mean), rtol=1e-14)
         np.testing.assert_allclose(out.variance, np.zeros(2), atol=0.0)
 
@@ -190,7 +196,8 @@ class TestForwardMoments:
         assert np.all(np.abs(ys.mean(axis=0) - out.mean) < 3 * se_mean)
         np.testing.assert_allclose(ys.var(axis=0), out.variance, rtol=0.05)
 
-    def test_delta_variance_vanishes_at_rate_of_input_variance(self):
+    def test_delta_variance_vanishes_at_rate_of_input_variance(self, monkeypatch):
+        monkeypatch.setattr(empkit.nets, "VAR_FLOOR", 0.0)
         rng = np.random.default_rng(9)
         net = FeedforwardNet(
             (LayerSpec(rng.normal(size=(2, 2)), rng.normal(size=2), "tanh"),)
@@ -198,9 +205,7 @@ class TestForwardMoments:
         mean = rng.normal(size=2)
         prev = None
         for scale in (1e-2, 1e-4, 1e-6):
-            out = forward_moments(
-                net, DiagonalGaussian(mean, np.full(2, scale)), var_floor=0.0
-            )
+            out = forward_moments(net, DiagonalGaussian(mean, np.full(2, scale)))
             ratio = out.variance / scale
             if prev is not None:
                 np.testing.assert_allclose(ratio, prev, rtol=1e-3)
