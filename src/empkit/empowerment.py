@@ -97,13 +97,16 @@ class EmpowermentEstimate:
 
     ``iterations`` counts the quasi-Newton iterations of the winning
     restart (one iteration may take several objective evaluations);
-    ``converged`` refers to the returned policy.
+    ``converged`` refers to the returned policy.  ``restarts_failed``
+    counts the restarts whose objective turned non-finite or that found no
+    self-consistent iterate.
     """
 
     value: float
     policy: GaussianPolicy
     iterations: int
     converged: bool
+    restarts_failed: int
     mc_samples: int
     seed: int
 
@@ -123,23 +126,25 @@ def _check_policy(model: DynamicsModel, policy: GaussianPolicy) -> None:
 
 def _marginal_pass(model, state, mean, var_a, actions):
     """The one place the marginal is formed: a fused pass of its moment
-    row and the sampled action rows.
+    row and the sampled action rows, per lane.
 
-    Row 0 carries the state with the policy mean (variance 0 on the state
-    slots, ``var_a`` on the action slots); rows 1.. carry the state with
-    each row of ``actions``.  Returns the marginal next-state mean and
-    variance (see ``marginal_transition``), the model noise part of that
-    variance, the output rows and the trace for ``_fused_backprop``.
+    Lane l's row 0 carries the state with the policy mean ``mean[l]``
+    (variance 0 on the state slots, ``var_a[l]`` on the action slots); its
+    rows 1.. carry the state with each row of ``actions[l]``.  Returns per
+    lane the marginal next-state mean and variance (see
+    ``marginal_transition``) and the model noise part of that variance,
+    then the output rows and the trace for ``_fused_backprop``.
     """
     d = model.state_dim
-    X = np.empty((actions.shape[0] + 1, d + mean.size))
-    X[:, :d] = state
-    X[0, d:] = mean
-    X[1:, d:] = actions
-    v0 = np.concatenate([np.zeros(d), var_a])
+    lanes, n, k = actions.shape
+    X = np.empty((lanes, n + 1, d + k))
+    X[:, :, :d] = state
+    X[:, 0, d:] = mean
+    X[:, 1:, d:] = actions
+    v0 = np.concatenate([np.zeros((lanes, d)), var_a], axis=1)
     Y, vM, trace = _fused_trace(model.net, X, v0)
-    noise = np.exp(2.0 * Y[0, d:])
-    return Y[0, :d], vM[:d] + noise, noise, Y, trace
+    noise = np.exp(2.0 * Y[:, 0, d:])
+    return Y[:, 0, :d], vM[:, :d] + noise, noise, Y, trace
 
 
 def marginal_transition(
@@ -158,47 +163,56 @@ def marginal_transition(
     mq, vq, _, _, _ = _marginal_pass(
         model,
         state,
-        policy.action_mean,
-        np.exp(2.0 * policy.action_log_std),
-        np.empty((0, model.action_dim)),
+        policy.action_mean[None],
+        np.exp(2.0 * policy.action_log_std)[None],
+        np.empty((1, 0, model.action_dim)),
     )
-    return DiagonalGaussian(mq, vq)
+    return DiagonalGaussian(mq[0], vq[0])
 
 
 def _mi_core(model, state, mean, log_std, eps, want_grad):
-    """Objective (and optionally its gradient) at fixed eps draws."""
+    """Objective (and optionally its gradient) at fixed eps draws, per lane.
+
+    ``mean`` and ``log_std`` are (lanes, k) and ``eps`` is (lanes, n, k);
+    every lane shares ``state``.  Returns arrays over lanes: the value, the
+    gradients wrt mean and log-std (None without ``want_grad``) and the
+    self-consistency flag.
+    """
     d = model.state_dim
-    n = eps.shape[0]
-    sigma = np.exp(log_std)
+    lanes, n, _ = eps.shape
+    sigma = np.exp(log_std)[:, None, :]
     var_a = np.exp(2.0 * log_std)
-    actions = mean + sigma * eps
+    actions = mean[:, None, :] + sigma * eps
     mq, vq, noise, Y, trace = _marginal_pass(model, state, mean, var_a, actions)
-    mp = Y[1:, :d]
-    vp = np.exp(2.0 * Y[1:, d:])
+    mq, vq = mq[:, None, :], vq[:, None, :]  # broadcast over the sample rows
+    mp = Y[:, 1:, :d]
+    vp = np.exp(2.0 * Y[:, 1:, d:])
 
     dm = mp - mq
     kl = 0.5 * (np.log(vq) - np.log(vp)) + (vp + dm**2) / (2.0 * vq) - 0.5
-    value = float(kl.sum() / n)
+    value = kl.reshape(lanes, -1).sum(axis=1) / n
     # self-consistency of the surrogate: the marginal variance produced by
     # moment propagation should account for the spread of the sampled
     # conditional means; when it does not (saturated action means), the KL
     # terms inflate spuriously and the value is not trustworthy
-    consistent = bool(np.all((dm**2).mean(axis=0) <= _CONSISTENCY_FACTOR * vq))
+    consistent = np.all((dm**2).mean(axis=1) <= _CONSISTENCY_FACTOR * vq[:, 0], axis=1)
     if not want_grad:
         return value, None, None, consistent
 
     # d KL / d outputs: row 0 through the marginal (mq, vq), rows 1.. through
     # the conditionals (mp, vp); log-std outputs enter as exp(2 y)
     gY = np.empty_like(Y)
-    gY[0, :d] = (-dm / vq).sum(axis=0) / n
-    gvq = (0.5 / vq - (vp + dm**2) / (2.0 * vq**2)).sum(axis=0) / n
-    gY[0, d:] = gvq * 2.0 * noise
-    gY[1:, :d] = dm / vq / n
-    gY[1:, d:] = (0.5 / vq - 0.5 / vp) / n * 2.0 * vp
-    gX, gv0 = _fused_backprop(trace, gY, np.concatenate([gvq, np.zeros(d)]))
-    ga = gX[1:, d:]
-    gmean = ga.sum(axis=0) + gX[0, d:]
-    glog = (ga * (sigma * eps)).sum(axis=0) + gv0[d:] * 2.0 * var_a
+    gY[:, 0, :d] = (-dm / vq).sum(axis=1) / n
+    gvq = (0.5 / vq - (vp + dm**2) / (2.0 * vq**2)).sum(axis=1) / n
+    gY[:, 0, d:] = gvq * 2.0 * noise
+    gY[:, 1:, :d] = dm / vq / n
+    gY[:, 1:, d:] = (0.5 / vq - 0.5 / vp) / n * 2.0 * vp
+    gX, gv0 = _fused_backprop(
+        trace, gY, np.concatenate([gvq, np.zeros((lanes, d))], axis=1)
+    )
+    ga = gX[:, 1:, d:]
+    gmean = ga.sum(axis=1) + gX[:, 0, d:]
+    glog = (ga * (sigma * eps)).sum(axis=1) + gv0[:, d:] * 2.0 * var_a
     return value, gmean, glog, consistent
 
 
@@ -209,13 +223,22 @@ def _draw_eps(seed: int, mc_samples: int, action_dim: int) -> np.ndarray:
 
 
 def _objective(model, state, policy, mc_samples, seed, want_grad):
-    """Validated inputs, the seed's eps draw and one ``_mi_core`` call."""
+    """Validated inputs, the seed's eps draw and one single-lane
+    ``_mi_core`` call: the value, with the gradient if ``want_grad``."""
     state = _as_vector(state, model.state_dim, "state")
     _check_policy(model, policy)
     eps = _draw_eps(seed, mc_samples, model.action_dim)
-    return _mi_core(
-        model, state, policy.action_mean, policy.action_log_std, eps, want_grad
+    value, gmean, glog, _ = _mi_core(
+        model,
+        state,
+        policy.action_mean[None],
+        policy.action_log_std[None],
+        eps[None],
+        want_grad,
     )
+    if not want_grad:
+        return float(value[0])
+    return float(value[0]), gmean[0], glog[0]
 
 
 def mi_lower_bound(
@@ -226,7 +249,7 @@ def mi_lower_bound(
     seed: int,
 ) -> float:
     """Monte Carlo mutual-information objective, deterministic per seed."""
-    return _objective(model, state, policy, mc_samples, seed, False)[0]
+    return _objective(model, state, policy, mc_samples, seed, False)
 
 
 def mi_lower_bound_with_gradient(
@@ -237,27 +260,28 @@ def mi_lower_bound_with_gradient(
     seed: int,
 ):
     """Objective plus analytic gradient wrt (action_mean, action_log_std)."""
-    return _objective(model, state, policy, mc_samples, seed, True)[:3]
+    return _objective(model, state, policy, mc_samples, seed, True)
 
 
-def _ascend(model, state, eps, mean, log_std, opts):
-    """Projected BFGS ascent of one restart from (mean, log_std).
+def _ascend(x, opts):
+    """Projected BFGS ascent of one restart from ``x`` = (mean, log_std).
 
-    Returns ``(best, iterations)``.  ``best`` is the highest self-consistent
-    iterate along the path as ``(value, mean, log_std, converged)``, where
-    ``converged`` says whether its projected gradient is below
-    ``grad_tol``, or None when no iterate was consistent.  Raises
+    A generator: it yields each trial point and is sent back that point's
+    ``(value, gradient, consistent)``, the gradient over (mean, log_std).
+    It returns ``(best, iterations)``.  ``best`` is the highest
+    self-consistent iterate along the path as ``(value, mean, log_std,
+    converged)``, where ``converged`` says whether its projected gradient
+    is below ``grad_tol``, or None when no iterate was consistent.  Raises
     FloatingPointError on a non-finite objective.
     """
-    k = mean.size
+    k = x.size // 2
     lo = np.concatenate([np.full(k, -np.inf), np.full(k, LOG_STD_MIN)])
     hi = np.concatenate([np.full(k, np.inf), np.full(k, LOG_STD_MAX)])
 
     def evaluate(x):
-        value, gmean, glog, ok = _mi_core(model, state, x[:k], x[k:], eps, True)
+        value, g, ok = yield x
         if not np.isfinite(value):
             raise FloatingPointError("non-finite objective")
-        g = np.concatenate([gmean, glog])
         # components pushing against an active clamp are held at the clamp
         held = ((x <= lo) & (g < 0)) | ((x >= hi) & (g > 0))
         pg = np.where(held, 0.0, g)
@@ -269,8 +293,7 @@ def _ascend(model, state, eps, mean, log_std, opts):
             return (value, x[:k].copy(), x[k:].copy(), done)
         return best
 
-    x = np.concatenate([mean, log_std])
-    f, g, pg, held, ok = evaluate(x)
+    f, g, pg, held, ok = yield from evaluate(x)
     best = keep(None, f, x, pg, ok)
     hess_inv = None  # None until a curvature pair is accepted
     iters = 0
@@ -291,7 +314,7 @@ def _ascend(model, state, eps, mean, log_std, opts):
             x_new = np.clip(x + t * d, lo, hi)
             gain = g @ (x_new - x)
             if gain > 0.0:
-                f_new, g_new, pg_new, held_new, ok = evaluate(x_new)
+                f_new, g_new, pg_new, held_new, ok = yield from evaluate(x_new)
                 if f_new >= f + _ARMIJO * gain:
                     break
             t *= 0.5
@@ -323,23 +346,26 @@ def maximize_empowerment(
     gradients.  The ascent is a quasi-Newton (BFGS) iteration over
     (action_mean, action_log_std) with Armijo backtracking, log-std clipped
     to ``[LOG_STD_MIN, LOG_STD_MAX]``; one iteration may take several
-    objective evaluations.  Each restart keeps its best self-consistent
-    iterate, and a restart whose objective turns non-finite counts as
-    failed.  ``iterations`` is the quasi-Newton iteration count of the
-    winning restart; ``converged`` means the projected gradient (log-std
-    components pushing against an active clamp are zeroed) at the returned
-    policy is below ``grad_tol`` in infinity norm.
+    objective evaluations.  The restarts advance in lockstep: each round
+    evaluates the next trial point of every live restart in one batched
+    objective call, one lane per restart, and a lane's numbers do not
+    depend on the others.  Each restart keeps its best self-consistent
+    iterate; a restart whose objective turns non-finite, or that finds no
+    self-consistent iterate, counts as failed.  ``iterations`` is the
+    quasi-Newton iteration count of the winning restart; ``converged``
+    means the projected gradient (log-std components pushing against an
+    active clamp are zeroed) at the returned policy is below ``grad_tol``
+    in infinity norm.
     """
     state = _as_vector(state, model.state_dim, "state")
     k = model.action_dim
 
-    best = None
-    failures = 0
+    eps, ascents, trials = [], [], []
     for r in range(opts.restarts):
         # one stream per restart: its first rows are eps, its last row the
         # initial-mean kick
         draw = _draw_eps(opts.seed + r, opts.mc_samples + 1, k)
-        eps = draw[:-1]
+        eps.append(draw[:-1])
         # restart 0 starts at the canonical initial policy; later restarts
         # perturb the initial mean to reach other basins of the objective.
         # The perturbation is kept small: for saturating dynamics the
@@ -348,14 +374,38 @@ def maximize_empowerment(
         # objective spuriously (the propagated marginal variance collapses
         # while the sampled conditional means still spread).
         mean = 0.5 * draw[-1] if r > 0 else np.zeros(k)
-        try:
-            best_r, iters = _ascend(model, state, eps, mean, -np.ones(k), opts)
-        except FloatingPointError:
-            best_r = None
-        if best_r is None:
+        ascents.append(_ascend(np.concatenate([mean, -np.ones(k)]), opts))
+        trials.append(next(ascents[-1]))
+    eps = np.stack(eps)
+
+    results = [None] * opts.restarts  # (best, iterations) per finished restart
+    live = list(range(opts.restarts))
+    while live:
+        X = np.array([trials[r] for r in live])
+        value, gmean, glog, ok = _mi_core(
+            model, state, X[:, :k], X[:, k:], eps[live], True
+        )
+        grad = np.concatenate([gmean, glog], axis=1)
+        running = []
+        for lane, r in enumerate(live):
+            try:
+                trials[r] = ascents[r].send(
+                    (float(value[lane]), grad[lane], bool(ok[lane]))
+                )
+                running.append(r)
+            except StopIteration as finished:
+                results[r] = finished.value
+            except FloatingPointError:
+                pass  # non-finite objective: the restart failed
+        live = running
+
+    best = None
+    failures = 0
+    for result in results:
+        if result is None or result[0] is None:
             failures += 1
-        elif best is None or best_r[0] > best[0]:
-            best = (*best_r, iters)
+        elif best is None or result[0][0] > best[0]:
+            best = (*result[0], result[1])
 
     if best is None:
         raise RuntimeError(f"all {failures} restarts diverged")
@@ -365,6 +415,7 @@ def maximize_empowerment(
         policy=GaussianPolicy(mean, log_std),
         iterations=iters,
         converged=converged,
+        restarts_failed=failures,
         mc_samples=opts.mc_samples,
         seed=opts.seed,
     )

@@ -16,6 +16,7 @@ branch next to pass-through units) in a single layer.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -85,7 +86,7 @@ class LayerSpec:
     bias: np.ndarray
     activation: object = "identity"
     tags: tuple = field(init=False, repr=False, compare=False)
-    _groups: tuple = field(init=False, repr=False, compare=False)
+    _runs: tuple = field(init=False, repr=False, compare=False)
     _weights_sq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -105,12 +106,13 @@ class LayerSpec:
         for t in tags:
             if t not in _ACT:
                 raise ValueError(f"unknown activation tag: {t!r}")
-        # index groups per distinct tag, for vectorized slice application
-        groups = []
-        for t in dict.fromkeys(tags):
-            idx = np.flatnonzero([u == t for u in tags])
-            idx.setflags(write=False)
-            groups.append((t, idx))
+        # runs of equal adjacent tags: each is applied to a basic slice (a
+        # view), one call per run
+        runs, start = [], 0
+        for t, unit_tags in itertools.groupby(tags):
+            stop = start + len(list(unit_tags))
+            runs.append((t, slice(start, stop)))
+            start = stop
         w.setflags(write=False)
         b.setflags(write=False)
         w_sq = w * w
@@ -118,7 +120,7 @@ class LayerSpec:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
         object.__setattr__(self, "tags", tags)
-        object.__setattr__(self, "_groups", tuple(groups))
+        object.__setattr__(self, "_runs", tuple(runs))
         object.__setattr__(self, "_weights_sq", w_sq)
 
     @property
@@ -131,20 +133,20 @@ class LayerSpec:
 
     def act(self, z: np.ndarray) -> np.ndarray:
         """Apply f elementwise."""
-        if len(self._groups) == 1:
+        if len(self._runs) == 1:
             return _ACT[self.tags[0]][0](z)
         out = np.empty_like(z)
-        for tag, idx in self._groups:
-            out[..., idx] = _ACT[tag][0](z[..., idx])
+        for tag, units in self._runs:
+            out[..., units] = _ACT[tag][0](z[..., units])
         return out
 
     def act_all(self, z: np.ndarray):
-        """(f, f', f'') elementwise, one call per distinct tag."""
-        if len(self._groups) == 1:
+        """(f, f', f'') elementwise, one call per run of equal tags."""
+        if len(self._runs) == 1:
             return _ACT[self.tags[0]][1](z)
         out = np.empty((3,) + z.shape)
-        for tag, idx in self._groups:
-            out[..., idx] = _ACT[tag][1](z[..., idx])
+        for tag, units in self._runs:
+            out[..., units] = _ACT[tag][1](z[..., units])
         return out[0], out[1], out[2]
 
 
@@ -216,33 +218,42 @@ def forward_moments(net: FeedforwardNet, g: DiagonalGaussian) -> DiagonalGaussia
 
     Each propagated variance is floored at ``VAR_FLOOR``.
     """
-    H, v, _ = _fused_trace(net, g.mean[None, :], g.variance)
-    return DiagonalGaussian(H[0], v)
+    H, v, _ = _fused_trace(net, g.mean[None, None, :], g.variance[None, :])
+    return DiagonalGaussian(H[0, 0], v[0])
 
 
 # ---------------------------------------------------------------------------
 # fused forward pass + hand-rolled reverse mode, used by the empowerment
 # objective gradient (the nets here are tiny; autodiff frameworks are not
 # worth the dependency).
+#
+# Both passes carry a leading lane axis: lane l is an independent problem,
+# and every lane's numbers equal those of the same lane run alone, bit for
+# bit.  That is why the variance contractions are stacked per-lane
+# vector-matrix products, ``(v[:, None, :] @ W2.T)[:, 0]``: the same BLAS
+# matrix-vector call per lane for any lane count, where a 2-D
+# ``(lanes, in) @ (in, out)`` product switches to a matrix-matrix kernel
+# whose rounding depends on the lane count.
 
 
 def _fused_trace(net, H, v):
-    """Moment row and sample rows pushed through the net together.
+    """Moment row and sample rows pushed through the net together, per lane.
 
-    Row 0 of ``H`` is the mean of a diagonal Gaussian with variance ``v``;
-    it follows the moment rule while rows 1.. get plain point evaluation,
-    all with one matrix product per layer.  Returns the output rows, the
+    ``H`` is (lanes, rows, in): row 0 of each lane is the mean of a diagonal
+    Gaussian whose variance is that lane's row of ``v`` (lanes, in); it
+    follows the moment rule while rows 1.. get plain point evaluation, all
+    with one matrix product per layer.  Returns the output rows, the
     propagated variance and the trace that ``_fused_backprop`` consumes.
     """
     trace = []
     for layer in net.layers:
         Z = H @ layer.weights.T + layer.bias
-        va = layer._weights_sq @ v
+        va = (v[:, None, :] @ layer._weights_sq.T)[:, 0]
         H, dF, d2F = layer.act_all(Z)
-        raw = dF[0] ** 2 * va
+        raw = dF[:, 0] ** 2 * va
         mask = raw > VAR_FLOOR
         v = np.where(mask, raw, VAR_FLOOR)
-        trace.append((layer, dF, d2F[0], va, mask))
+        trace.append((layer, dF, d2F[:, 0], va, mask))
     return H, v, trace
 
 
@@ -255,8 +266,8 @@ def _fused_backprop(trace, G, gv):
     for layer, dF, d2f, va, mask in reversed(trace):
         gv = np.where(mask, gv, 0.0)
         GZ = dF * G
-        GZ[0] += 2.0 * dF[0] * d2f * va * gv
-        gv = (dF[0] ** 2 * gv) @ layer._weights_sq
+        GZ[:, 0] += 2.0 * dF[:, 0] * d2f * va * gv
+        gv = ((dF[:, 0] ** 2 * gv)[:, None, :] @ layer._weights_sq)[:, 0]
         G = GZ @ layer.weights
     return G, gv
 
@@ -266,7 +277,7 @@ def _fused_backprop(trace, G, gv):
 
 
 def _layer_to_dict(layer: LayerSpec) -> dict:
-    uniform = len(layer._groups) == 1
+    uniform = len(layer._runs) == 1
     return {
         "weights": layer.weights.tolist(),
         "bias": layer.bias.tolist(),

@@ -21,7 +21,8 @@ from empkit import (
     mi_lower_bound_with_gradient,
     select_action,
 )
-from empkit.empowerment import LOG_STD_MAX, LOG_STD_MIN
+import empkit.empowerment
+from empkit.empowerment import LOG_STD_MAX, LOG_STD_MIN, _mi_core
 from empkit.nets import VAR_FLOOR
 
 
@@ -293,6 +294,12 @@ class TestMaximizeEmpowerment:
         est = maximize_empowerment(PENDULUM, state, OptimizerOptions(seed=0))
         assert est.value == pytest.approx(expected, rel=1e-12)
         assert est.converged
+        assert est.iterations == 8
+        # plain Python scalars, not numpy ones taken from the lane arrays
+        assert type(est.value) is float
+        assert type(est.converged) is bool
+        assert type(est.iterations) is int
+        assert type(est.restarts_failed) is int
 
     def test_deterministic(self):
         model = build_pendulum_dynamics(PendulumParams())
@@ -418,10 +425,82 @@ class TestMaximizeEmpowerment:
             with pytest.raises(RuntimeError, match="all 4 restarts diverged"):
                 maximize_empowerment(model, [0.0], OptimizerOptions(restarts=4))
 
+    def test_failed_restart_leaves_the_others_unchanged(self, monkeypatch):
+        # NaN in restart 2's initial-mean row makes its objective non-finite
+        # at its first trial point; at this state and seed restart 3 wins
+        state, opts = [1.0, -2.0], OptimizerOptions(seed=7)
+        clean = maximize_empowerment(PENDULUM, state, opts)
+        assert clean.restarts_failed == 0
+        draw_eps = empkit.empowerment._draw_eps
+
+        def poisoned(seed, mc_samples, action_dim):
+            draw = draw_eps(seed, mc_samples, action_dim)
+            if seed == opts.seed + 2:
+                draw[-1] = np.nan
+            return draw
+
+        monkeypatch.setattr(empkit.empowerment, "_draw_eps", poisoned)
+        with np.errstate(invalid="ignore"):
+            est = maximize_empowerment(PENDULUM, state, opts)
+        assert est.restarts_failed == 1
+        winner = mi_lower_bound(PENDULUM, state, est.policy, 32, opts.seed + 3)
+        assert winner == est.value
+        assert est.value == clean.value
+        np.testing.assert_array_equal(est.policy.action_mean, clean.policy.action_mean)
+        np.testing.assert_array_equal(
+            est.policy.action_log_std, clean.policy.action_log_std
+        )
+        assert (est.iterations, est.converged) == (clean.iterations, clean.converged)
+
     def test_state_dimension_checked(self):
         model = shift_model()
         with pytest.raises(ValueError):
             maximize_empowerment(model, [0.0, 0.0], OptimizerOptions())
+
+
+def mixed_tag_model():
+    """2-D state and action; a tag recurs after another within a layer."""
+    rng = np.random.default_rng(8)
+    l1 = LayerSpec(
+        rng.normal(size=(5, 4)),
+        rng.normal(size=5),
+        ("tanh", "sine", "tanh", "identity", "square"),
+    )
+    l2 = LayerSpec(
+        0.3 * rng.normal(size=(4, 5)),
+        rng.normal(size=4),
+        ("identity", "cosine", "tanh", "identity"),
+    )
+    return DynamicsModel(FeedforwardNet((l1, l2)), state_dim=2, action_dim=2)
+
+
+class TestLanes:
+    @pytest.mark.parametrize("case", ["pendulum", "mixed"])
+    @pytest.mark.parametrize("lanes", [2, 3, 4, 5, 6])
+    def test_each_lane_equals_its_single_lane_run(self, case, lanes):
+        # the batched objective must not let the lane count change any
+        # lane's rounding: value, both gradients and the consistency flag
+        # equal the lane run alone, bit for bit
+        model = PENDULUM if case == "pendulum" else mixed_tag_model()
+        k = model.action_dim
+        rng = np.random.default_rng(lanes)
+        state = rng.uniform(-2.0, 2.0, model.state_dim)
+        mean = rng.normal(0.0, 1.5, (lanes, k))
+        log_std = rng.uniform(LOG_STD_MIN, LOG_STD_MAX, (lanes, k))
+        log_std[0], log_std[-1] = LOG_STD_MIN, LOG_STD_MAX
+        eps = rng.standard_normal((lanes, 32, k))
+        batched = _mi_core(model, state, mean, log_std, eps, True)
+        for lane in range(lanes):
+            alone = _mi_core(
+                model,
+                state,
+                mean[lane : lane + 1],
+                log_std[lane : lane + 1],
+                eps[lane : lane + 1],
+                True,
+            )
+            for got, want in zip(batched, alone):
+                np.testing.assert_array_equal(got[lane], want[0])
 
 
 class TestSelectAction:

@@ -44,6 +44,20 @@ class TestLayerSpec:
         out = layer.act(np.array([0.5, 0.5]))
         np.testing.assert_allclose(out, [np.sin(0.5), 0.5])
 
+    def test_repeated_tags_apply_per_unit(self):
+        # a tag recurring after another one: each unit still gets its own
+        # function and derivatives, on a batch with a leading lane axis
+        tags = ("sine", "identity", "identity", "sine", "tanh", "square")
+        layer = LayerSpec(np.eye(6), np.zeros(6), tags)
+        z = np.random.default_rng(4).normal(size=(3, 5, 6))
+        f, df, d2f = layer.act_all(z)
+        np.testing.assert_array_equal(layer.act(z), f)
+        for u, tag in enumerate(tags):
+            single = LayerSpec([[1.0]], [0.0], tag)
+            np.testing.assert_array_equal(f[..., u], single.act(z[..., u]))
+            for got, want in zip((f, df, d2f), single.act_all(z[..., u])):
+                np.testing.assert_array_equal(got[..., u], want)
+
     def test_chaining_checked(self):
         a = LayerSpec(np.ones((2, 3)), np.zeros(2))
         b = LayerSpec(np.ones((1, 4)), np.zeros(1))
