@@ -9,12 +9,12 @@ in nats.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
 
-from .nets import DynamicsModel
+from .nets import DynamicsModel, _as_vector
 
 __all__ = [
     "DiscreteChannel",
@@ -29,11 +29,29 @@ __all__ = [
 _ROW_SUM_TOL = 1e-9
 
 
+def _row_kron(left, right):
+    """Row-wise Kronecker product: row a is ``kron(left[a], right[a])``."""
+    return (left[:, :, None] * right[:, None, :]).reshape(len(left), -1)
+
+
+def _plogp(x):
+    """sum_j x[a, j] ln x[a, j] per row, with 0 ln 0 = 0."""
+    return np.einsum("aj,aj->a", x, np.log(np.where(x > 0, x, 1.0)))
+
+
 @dataclass(frozen=True)
 class DiscreteChannel:
-    """Row-stochastic matrix p(x'|a): rows = actions, columns = next-state bins."""
+    """Row-stochastic matrix p(x'|a): rows = actions, columns = next-state bins.
+
+    ``left`` and ``right`` factor every row as a Kronecker product,
+    ``transition[a] == kron(left[a], right[a])``.  A matrix given directly
+    is its own ``right``, with a one-column ``left`` of ones;
+    ``from_factors`` builds the matrix from a factor pair.
+    """
 
     transition: np.ndarray
+    left: np.ndarray = field(init=False, repr=False, compare=False)
+    right: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.transition, dtype=float)
@@ -46,6 +64,26 @@ class DiscreteChannel:
             raise ValueError("every row must sum to 1 within 1e-9")
         t.setflags(write=False)
         object.__setattr__(self, "transition", t)
+        self._set_factors(np.ones((t.shape[0], 1)), t)
+
+    @classmethod
+    def from_factors(cls, left, right) -> DiscreteChannel:
+        """The channel whose row a is ``kron(left[a], right[a])``."""
+        left = np.array(left, dtype=float)
+        right = np.array(right, dtype=float)
+        if left.ndim != 2 or right.ndim != 2 or len(left) != len(right):
+            raise ValueError("factors must be matrices with one row per action")
+        if (left < 0).any() or (right < 0).any():
+            raise ValueError("factor entries must be >= 0")
+        ch = cls(_row_kron(left, right))
+        ch._set_factors(left, right)
+        return ch
+
+    def _set_factors(self, left, right):
+        left.setflags(write=False)
+        right.setflags(write=False)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     @property
     def n_actions(self) -> int:
@@ -80,20 +118,19 @@ def blahut_arimoto(
     p_a <- p_a exp(D_a) (normalized).  Terminates when the bound gap drops
     below ``tol``; the reported capacity is the (monotone) lower bound.
 
-    D is computed as sum_s P ln P (once, before the loop) minus P @ ln m,
-    so an iteration costs two matrix-vector products and no temporaries
-    of the channel's size.
+    The iteration runs on the channel's factors, P[a] = kron(L[a], R[a]):
+    m, as an L-by-R table, is (p L)^T R, and sum_s P[a,s] ln m[s] is
+    sum_i L[a,i] (R ln m^T)[a,i].  sum_s P ln P, computed once, splits
+    into plogp(L) rowsum(R) + rowsum(L) plogp(R).  An iteration thus costs
+    two products over the factors and never touches P itself: for the
+    oracle's 64 x 41^2 channel, 64 x 41 factors instead of 64 x 1681.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    P = ch.transition
-    logP = np.zeros_like(P)
-    pos = P > 0
-    logP[pos] = np.log(P[pos])
-    # 0 ln 0 = 0
-    neg_entropy = np.einsum("as,as->a", P, logP)
+    left, right = ch.left, ch.right
+    neg_entropy = _plogp(left) * right.sum(axis=1) + left.sum(axis=1) * _plogp(right)
 
     p = np.full(ch.n_actions, 1.0 / ch.n_actions)
     lower_bounds = []
@@ -101,10 +138,11 @@ def blahut_arimoto(
     it = 0
     capacity = 0.0
     for it in range(1, max_iter + 1):
-        m = p @ P
-        # 0 ln 0 = 0; columns with m == 0 carry no probability anywhere p > 0
-        logm = np.log(m, out=np.zeros_like(m), where=m > 0)
-        D = neg_entropy - P @ logm
+        m = (p[:, None] * left).T @ right
+        # ln m in place, 0 where m == 0: such bins carry no probability
+        # anywhere p > 0, and a finite value keeps 0 * ln m at 0
+        logm = np.log(m, out=m, where=m > 0)
+        D = neg_entropy - np.einsum("ai,ai->a", left, right @ logm.T)
         lower = float(p @ D)
         upper = float(np.max(D))
         lower_bounds.append(lower)
@@ -135,31 +173,35 @@ def discretize_dynamics(
     ``state_bins`` is a list of strictly increasing edge arrays, one per
     state dimension; dimension d gets len(edges_d)-1 bins.  Tail mass
     beyond the outer edges is assigned to the outermost bins, so rows sum
-    to one exactly.  Per-dimension masses multiply (diagonal model).
+    to one exactly.  Per-dimension masses multiply (diagonal model), so
+    the channel is built from its factors: the row-wise Kronecker product
+    of the first D-1 mass matrices, and the last one.
     """
-    actions = [np.atleast_1d(np.asarray(a, dtype=float)) for a in action_grid]
+    state = _as_vector(state, model.state_dim, "state")
+    actions = [_as_vector(a, model.action_dim, "action_grid entry") for a in action_grid]
     if not actions:
         raise ValueError("action_grid must be non-empty")
     edges = [np.asarray(e, dtype=float) for e in state_bins]
     for e in edges:
-        if e.ndim != 1 or e.size < 2 or np.any(np.diff(e) <= 0):
+        if e.ndim != 1 or e.size < 2 or not (np.diff(e) > 0).all():
             raise ValueError("bin edges must be strictly increasing with >= 2 entries")
     if len(edges) != model.state_dim:
         raise ValueError("need one edge array per state dimension")
 
-    rows = []
-    for a in actions:
-        g = model.conditional(np.atleast_1d(np.asarray(state, dtype=float)), a)
-        sd = np.sqrt(g.variance)
-        row = np.ones(1)
-        for d, e in enumerate(edges):
-            cdf = ndtr((e - g.mean[d]) / sd[d])
-            probs = np.diff(cdf)
-            probs[0] += cdf[0]
-            probs[-1] += 1.0 - cdf[-1]
-            row = np.outer(row, probs).ravel()
-        rows.append(row)
-    return DiscreteChannel(np.vstack(rows))
+    conds = [model.conditional(state, a) for a in actions]
+    means = np.array([g.mean for g in conds])
+    sds = np.sqrt(np.array([g.variance for g in conds]))
+    masses = []
+    for d, e in enumerate(edges):
+        cdf = ndtr((e - means[:, d, None]) / sds[:, d, None])
+        probs = np.diff(cdf, axis=1)
+        probs[:, 0] += cdf[:, 0]
+        probs[:, -1] += 1.0 - cdf[:, -1]
+        masses.append(probs)
+    left = np.ones((len(actions), 1))
+    for probs in masses[:-1]:
+        left = _row_kron(left, probs)
+    return DiscreteChannel.from_factors(left, masses[-1])
 
 
 def oracle_empowerment(
@@ -181,6 +223,15 @@ def oracle_empowerment(
     """
     if model.action_dim != 1:
         raise ValueError("oracle_empowerment supports scalar actions only")
+    state = _as_vector(state, model.state_dim, "state")
+    if n_actions < 1:
+        raise ValueError("n_actions must be >= 1")
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+    if not np.isfinite(action_range):
+        raise ValueError("action_range must be finite")
+    if not 0 < pad_sigma < np.inf:
+        raise ValueError("pad_sigma must be positive and finite")
     acts = np.linspace(-action_range, action_range, n_actions)
     means = np.empty((n_actions, model.state_dim))
     sds = np.empty_like(means)

@@ -13,12 +13,19 @@ finite differences in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .gaussian import DiagonalGaussian
-from .nets import DynamicsModel, _fused_backprop, _fused_trace, forward_point
+from .nets import (
+    DynamicsModel,
+    _as_vector,
+    _fused_backprop,
+    _fused_trace,
+    forward_point,
+)
 
 __all__ = [
     "LOG_STD_MIN",
@@ -109,14 +116,6 @@ class EmpowermentEstimate:
     restarts_failed: int
     mc_samples: int
     seed: int
-
-
-def _as_vector(x, dim: int, what: str) -> np.ndarray:
-    """``x`` as a finite float vector of length ``dim``, else ValueError."""
-    v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.shape != (dim,) or not np.all(np.isfinite(v)):
-        raise ValueError(f"{what} must be a finite vector of length {dim}")
-    return v
 
 
 def _check_policy(model: DynamicsModel, policy: GaussianPolicy) -> None:
@@ -277,10 +276,11 @@ def _ascend(x, opts):
     k = x.size // 2
     lo = np.concatenate([np.full(k, -np.inf), np.full(k, LOG_STD_MIN)])
     hi = np.concatenate([np.full(k, np.inf), np.full(k, LOG_STD_MAX)])
+    eye = np.eye(2 * k)
 
     def evaluate(x):
         value, g, ok = yield x
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise FloatingPointError("non-finite objective")
         # components pushing against an active clamp are held at the clamp
         held = ((x <= lo) & (g < 0)) | ((x >= hi) & (g > 0))
@@ -289,7 +289,7 @@ def _ascend(x, opts):
 
     def keep(best, value, x, pg, ok):
         if ok and (best is None or value > best[0]):
-            done = bool(np.max(np.abs(pg), initial=0.0) < opts.grad_tol)
+            done = bool(np.abs(pg).max() < opts.grad_tol)
             return (value, x[:k].copy(), x[k:].copy(), done)
         return best
 
@@ -297,7 +297,7 @@ def _ascend(x, opts):
     best = keep(None, f, x, pg, ok)
     hess_inv = None  # None until a curvature pair is accepted
     iters = 0
-    while np.max(np.abs(pg), initial=0.0) >= opts.grad_tol and iters < opts.max_iter:
+    while np.abs(pg).max() >= opts.grad_tol and iters < opts.max_iter:
         d = None
         if hess_inv is not None:
             d = hess_inv @ pg
@@ -308,10 +308,10 @@ def _ascend(x, opts):
             # steepest step of at most unit length: on the way to the upper
             # log-std clamp the objective is convex, no curvature pair is
             # accepted there, and a short step would crawl to the clamp
-            d = pg / max(1.0, float(np.linalg.norm(pg)))
+            d = pg / max(1.0, math.sqrt(pg @ pg))
         t = 1.0
         for _ in range(_MAX_BACKTRACKS):
-            x_new = np.clip(x + t * d, lo, hi)
+            x_new = np.minimum(np.maximum(x + t * d, lo), hi)
             gain = g @ (x_new - x)
             if gain > 0.0:
                 f_new, g_new, pg_new, held_new, ok = yield from evaluate(x_new)
@@ -326,11 +326,11 @@ def _ascend(x, opts):
         iters += 1
         s, y = x_new - x, g - g_new
         sy = s @ y
-        if sy > _CURVATURE_TOL * np.linalg.norm(s) * np.linalg.norm(y):
+        if sy > _CURVATURE_TOL * math.sqrt(s @ s) * math.sqrt(y @ y):
             if hess_inv is None:
-                hess_inv = np.eye(2 * k) * (sy / (y @ y))
-            v = np.eye(2 * k) - np.outer(s, y) / sy
-            hess_inv = v @ hess_inv @ v.T + np.outer(s, s) / sy
+                hess_inv = eye * (sy / (y @ y))
+            v = eye - s[:, None] * y / sy
+            hess_inv = v @ hess_inv @ v.T + s[:, None] * s / sy
         x, f, g, pg, held = x_new, f_new, g_new, pg_new, held_new
         best = keep(best, f, x, pg, ok)
     return best, iters

@@ -38,9 +38,9 @@ class DiagonalGaussian:
             )
         if mean.size < 1:
             raise ValueError("dimension must be >= 1")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(variance))):
+        if not (np.isfinite(mean).all() and np.isfinite(variance).all()):
             raise ValueError("mean and variance must be finite")
-        if np.any(variance < 0):
+        if (variance < 0).any():
             raise ValueError("variance must be non-negative")
         mean.setflags(write=False)
         variance.setflags(write=False)

@@ -174,6 +174,14 @@ class FeedforwardNet:
         return self.layers[-1].out_dim
 
 
+def _as_vector(x, dim: int, what: str) -> np.ndarray:
+    """``x`` as a finite float vector of length ``dim``, else ValueError."""
+    v = np.atleast_1d(np.asarray(x, dtype=float))
+    if v.shape != (dim,) or not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} must be a finite vector of length {dim}")
+    return v
+
+
 @dataclass(frozen=True)
 class DynamicsModel:
     """Gaussian one-step dynamics p(x'|x,a) packaged as a network.

@@ -1,7 +1,9 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from empkit import (
     CapacityResult,
@@ -54,9 +56,10 @@ def textbook_blahut_arimoto(P, tol, max_iter=10_000):
     return max(lower, 0.0), it, np.array(lower_bounds)
 
 
-def ac5_channel():
-    """The 64 x 41^2 pendulum channel that oracle_empowerment builds at one
-    state of the AC-5 sweep (its midpoint, angle -pi/2, velocity -4)."""
+def ac5_inputs():
+    """Model, state, action grid and bin edges with which oracle_empowerment
+    discretizes one state of the AC-5 sweep (its midpoint, angle -pi/2,
+    velocity -4)."""
     model = build_pendulum_dynamics(PendulumParams())
     state = np.array([-np.pi / 2, -4.0])
     acts = np.linspace(-4.0, 4.0, 64)
@@ -67,15 +70,52 @@ def ac5_channel():
         np.linspace(means[:, d].min() - pad[d], means[:, d].max() + pad[d], 42)
         for d in range(2)
     ]
-    P = discretize_dynamics(model, state, [[a] for a in acts], edges).transition
+    return model, state, [[a] for a in acts], edges
+
+
+def ac5_channel():
+    """The 64 x 41^2 pendulum channel at the state of ``ac5_inputs``."""
+    P = discretize_dynamics(*ac5_inputs()).transition
     assert P.shape == (64, 41 * 41)
     return P
+
+
+def outer_loop_discretization(model, state, action_grid, state_bins):
+    """Reference: each row built action by action as an outer product of the
+    per-dimension bin masses."""
+    rows = []
+    for a in action_grid:
+        g = model.conditional(np.asarray(state, dtype=float), np.asarray(a, dtype=float))
+        sd = np.sqrt(g.variance)
+        row = np.ones(1)
+        for d, e in enumerate(state_bins):
+            cdf = ndtr((np.asarray(e) - g.mean[d]) / sd[d])
+            probs = np.diff(cdf)
+            probs[0] += cdf[0]
+            probs[-1] += 1.0 - cdf[-1]
+            row = np.outer(row, probs).ravel()
+        rows.append(row)
+    return np.vstack(rows)
+
+
+def row_kron(left, right):
+    return np.einsum("ai,aj->aij", left, right).reshape(len(left), -1)
 
 
 def shift_model(sigma=0.5):
     """1-D dynamics x' = x + a + N(0, sigma^2)."""
     layer = LayerSpec([[1.0, 1.0], [0.0, 0.0]], [0.0, np.log(sigma)])
     return DynamicsModel(FeedforwardNet((layer,)), state_dim=1, action_dim=1)
+
+
+def mixing_model():
+    """3-D linear dynamics x' = A x + b a + N(0, diag(sigma^2))."""
+    weights = np.zeros((6, 4))
+    weights[:3, :3] = [[0.9, 0.2, 0.0], [-0.3, 1.0, 0.1], [0.0, 0.4, 0.8]]
+    weights[:3, 3] = [0.5, -1.0, 2.0]
+    bias = np.concatenate([[0.1, 0.0, -0.2], np.log([0.3, 0.5, 0.2])])
+    layer = LayerSpec(weights, bias)
+    return DynamicsModel(FeedforwardNet((layer,)), state_dim=3, action_dim=1)
 
 
 class TestDiscreteChannel:
@@ -96,6 +136,37 @@ class TestDiscreteChannel:
         ch = DiscreteChannel(np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError):
             ch.transition[0, 0] = 1.0
+
+    def test_matrix_is_its_own_right_factor(self):
+        P = np.array([[0.2, 0.8], [0.6, 0.4]])
+        ch = DiscreteChannel(P)
+        np.testing.assert_array_equal(ch.left, np.ones((2, 1)))
+        np.testing.assert_array_equal(ch.right, P)
+
+    def test_from_factors_builds_row_kronecker_products(self):
+        rng = np.random.default_rng(12)
+        left, right = rng.dirichlet(np.ones(3), size=4), rng.dirichlet(np.ones(5), size=4)
+        ch = DiscreteChannel.from_factors(left, right)
+        for a in range(4):
+            np.testing.assert_array_equal(ch.transition[a], np.kron(left[a], right[a]))
+        np.testing.assert_array_equal(ch.left, left)
+        np.testing.assert_array_equal(ch.right, right)
+        with pytest.raises(ValueError):
+            ch.left[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "left, right, match",
+        [
+            ([[1.0], [1.0]], [[0.5, 0.5]], "one row per action"),
+            ([1.0], [[0.5, 0.5]], "one row per action"),
+            ([[-1.0]], [[-0.5, -0.5]], "factor entries must be >= 0"),
+            ([[0.5]], [[0.5, 0.5]], "every row must sum to 1"),
+        ],
+        ids=["row_count", "vector_left", "negative", "row_sum"],
+    )
+    def test_from_factors_rejects_bad_factors(self, left, right, match):
+        with pytest.raises(ValueError, match=match):
+            DiscreteChannel.from_factors(left, right)
 
 
 class TestBlahutArimoto:
@@ -217,8 +288,62 @@ class TestBlahutArimoto:
             assert res.capacity == pytest.approx(capacity, abs=1e-12)
             np.testing.assert_allclose(res.lower_bounds, lower_bounds, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_product_channel_matches_its_matrix(self, dims):
+        """BA on the factors equals BA on the plain matrix they multiply out
+        to, for D Dirichlet factors (the last one holding zero entries,
+        including a bin no action reaches)."""
+        rng = np.random.default_rng(13 + dims)
+        factors = [rng.dirichlet(np.ones(n), size=6) for n in (4, 3, 5)[:dims]]
+        last = factors[-1]
+        last[:, 1] = 0.0
+        last[[0, 3], 2] = 0.0
+        factors[-1] = last / last.sum(axis=1, keepdims=True)
+        left = np.ones((6, 1))
+        for f in factors[:-1]:
+            left = row_kron(left, f)
+        ch = DiscreteChannel.from_factors(left, factors[-1])
+        res = blahut_arimoto(ch, tol=1e-10)
+        ref = blahut_arimoto(DiscreteChannel(ch.transition), tol=1e-10)
+        assert res.converged and res.iterations == ref.iterations
+        assert res.capacity == pytest.approx(ref.capacity, abs=1e-12)
+        assert res.gap == pytest.approx(ref.gap, abs=1e-12)
+        np.testing.assert_allclose(res.lower_bounds, ref.lower_bounds, rtol=0, atol=1e-12)
+
 
 class TestDiscretizeDynamics:
+    @pytest.mark.parametrize("case", ["ac5_state", "shift_1d", "mixing_3d"])
+    def test_equals_per_action_outer_products(self, case):
+        if case == "ac5_state":
+            args = ac5_inputs()
+        elif case == "shift_1d":
+            args = (shift_model(0.7), [0.2], [[-1.0], [0.0], [1.5]], [np.linspace(-3, 3, 12)])
+        else:
+            edges = [np.linspace(-4, 4, n) for n in (6, 4, 8)]
+            args = (mixing_model(), [0.5, -1.0, 0.3], [[-1.0], [0.0], [2.0]], edges)
+        ch = discretize_dynamics(*args)
+        assert np.array_equal(ch.transition, outer_loop_discretization(*args))
+
+    @pytest.mark.parametrize(
+        "state, actions, edges, match",
+        [
+            ([0.0, 0.0], [[0.0]], [[-1.0, 1.0]], "state must be a finite vector of length 1"),
+            ([np.inf], [[0.0]], [[-1.0, 1.0]], "state must be a finite vector of length 1"),
+            ([0.0], [[0.0, 1.0]], [[-1.0, 1.0]], "action_grid entry must be a finite"),
+            ([0.0], [[np.nan]], [[-1.0, 1.0]], "action_grid entry must be a finite"),
+            ([0.0], [[0.0]], [[-1.0, np.nan, 1.0]], "bin edges must be strictly increasing"),
+        ],
+        ids=["state_length", "state_inf", "action_length", "action_nan", "edge_nan"],
+    )
+    def test_bad_input_rejected_before_any_conditional(
+        self, monkeypatch, state, actions, edges, match
+    ):
+        calls = []
+        monkeypatch.setattr(DynamicsModel, "conditional", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=match):
+            discretize_dynamics(shift_model(), state, actions, edges)
+        assert calls == []
+
     def test_rows_sum_to_one_exactly(self):
         model = shift_model(sigma=0.7)
         edges = [np.linspace(-3, 3, 12)]
@@ -299,6 +424,39 @@ class TestOracleEmpowerment:
         cap = oracle_empowerment(model, [0.0], action_range=amp).capacity
         assert cap <= 0.5 * np.log(1 + amp**2 / sigma**2) + 1e-9
         assert cap > 0.5 * np.log(1 + amp**2 / sigma**2) - np.log(2)
+
+    @pytest.mark.parametrize(
+        "state, kwargs, match",
+        [
+            ([0.0], {}, "state must be a finite vector of length 2"),
+            ([np.inf, 0.0], {}, "state must be a finite vector of length 2"),
+            ([0.0, 0.0], {"n_actions": 0}, "n_actions must be >= 1"),
+            ([0.0, 0.0], {"bins": 0}, "bins must be >= 1"),
+            ([0.0, 0.0], {"pad_sigma": -1.0}, "pad_sigma must be positive"),
+            ([0.0, 0.0], {"pad_sigma": np.inf}, "pad_sigma must be positive"),
+            ([0.0, 0.0], {"action_range": np.nan}, "action_range must be finite"),
+        ],
+        ids=[
+            "state_length",
+            "state_inf",
+            "n_actions",
+            "bins",
+            "pad_sigma_negative",
+            "pad_sigma_inf",
+            "action_range_nan",
+        ],
+    )
+    def test_bad_input_rejected_before_any_conditional(
+        self, monkeypatch, state, kwargs, match
+    ):
+        model = build_pendulum_dynamics(PendulumParams())
+        calls = []
+        monkeypatch.setattr(DynamicsModel, "conditional", lambda *a: calls.append(a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                oracle_empowerment(model, state, **kwargs)
+        assert calls == []
 
     def test_vector_action_rejected(self):
         layer = LayerSpec(np.zeros((2, 3)), [0.0, 0.0])
