@@ -9,6 +9,7 @@ in nats.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,19 @@ def _plogp(x):
     return np.einsum("aj,aj->a", x, np.log(np.where(x > 0, x, 1.0)))
 
 
+def _checked_transition(t):
+    """``t``, made read-only, if it is a row-stochastic matrix; else ValueError."""
+    if t.ndim != 2 or t.shape[0] < 1 or t.shape[1] < 1:
+        raise ValueError("transition must be a non-empty matrix")
+    if np.any(t < 0) or not np.all(np.isfinite(t)):
+        raise ValueError("transition entries must be finite and >= 0")
+    rows = t.sum(axis=1)
+    if np.any(np.abs(rows - 1.0) > _ROW_SUM_TOL):
+        raise ValueError("every row must sum to 1 within 1e-9")
+    t.setflags(write=False)
+    return t
+
+
 @dataclass(frozen=True)
 class DiscreteChannel:
     """Row-stochastic matrix p(x'|a): rows = actions, columns = next-state bins.
@@ -54,15 +68,8 @@ class DiscreteChannel:
     right: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        t = np.asarray(self.transition, dtype=float)
-        if t.ndim != 2 or t.shape[0] < 1 or t.shape[1] < 1:
-            raise ValueError("transition must be a non-empty matrix")
-        if np.any(t < 0) or not np.all(np.isfinite(t)):
-            raise ValueError("transition entries must be finite and >= 0")
-        rows = t.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > _ROW_SUM_TOL):
-            raise ValueError("every row must sum to 1 within 1e-9")
-        t.setflags(write=False)
+        # a copy, so that freezing it leaves the caller's array writable
+        t = _checked_transition(np.array(self.transition, dtype=float))
         object.__setattr__(self, "transition", t)
         self._set_factors(np.ones((t.shape[0], 1)), t)
 
@@ -75,7 +82,10 @@ class DiscreteChannel:
             raise ValueError("factors must be matrices with one row per action")
         if (left < 0).any() or (right < 0).any():
             raise ValueError("factor entries must be >= 0")
-        ch = cls(_row_kron(left, right))
+        # the product is already a fresh array: set it without the copy
+        # that __init__ makes
+        ch = object.__new__(cls)
+        object.__setattr__(ch, "transition", _checked_transition(_row_kron(left, right)))
         ch._set_factors(left, right)
         return ch
 
@@ -124,6 +134,7 @@ def blahut_arimoto(
     into plogp(L) rowsum(R) + rowsum(L) plogp(R).  An iteration thus costs
     two products over the factors and never touches P itself: for the
     oracle's 64 x 41^2 channel, 64 x 41 factors instead of 64 x 1681.
+    Their products go into buffers allocated once per call.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -131,6 +142,10 @@ def blahut_arimoto(
         raise ValueError("max_iter must be >= 1")
     left, right = ch.left, ch.right
     neg_entropy = _plogp(left) * right.sum(axis=1) + left.sum(axis=1) * _plogp(right)
+    pl = np.empty_like(left)
+    m = np.empty((left.shape[1], right.shape[1]))
+    m_pos = np.empty(m.shape, dtype=bool)
+    rl = np.empty_like(left)
 
     p = np.full(ch.n_actions, 1.0 / ch.n_actions)
     lower_bounds = []
@@ -138,13 +153,16 @@ def blahut_arimoto(
     it = 0
     capacity = 0.0
     for it in range(1, max_iter + 1):
-        m = (p[:, None] * left).T @ right
+        np.multiply(p[:, None], left, out=pl)
+        np.matmul(pl.T, right, out=m)
         # ln m in place, 0 where m == 0: such bins carry no probability
         # anywhere p > 0, and a finite value keeps 0 * ln m at 0
-        logm = np.log(m, out=m, where=m > 0)
-        D = neg_entropy - np.einsum("ai,ai->a", left, right @ logm.T)
+        np.greater(m, 0.0, out=m_pos)
+        np.log(m, out=m, where=m_pos)
+        np.matmul(right, m.T, out=rl)
+        D = neg_entropy - np.vecdot(left, rl)
         lower = float(p @ D)
-        upper = float(np.max(D))
+        upper = float(D.max())
         lower_bounds.append(lower)
         capacity = max(lower, 0.0)
         gap = upper - lower
@@ -165,6 +183,21 @@ def blahut_arimoto(
     )
 
 
+def _as_action_grid(action_grid, dim):
+    """``action_grid`` as a finite (n, dim) float array with n >= 1, else
+    ValueError."""
+    invalid = ValueError(f"action_grid entry must be a finite vector of length {dim}")
+    try:
+        grid = np.asarray(action_grid, dtype=float)
+    except (TypeError, ValueError):
+        raise invalid from None
+    if grid.ndim >= 1 and len(grid) == 0:
+        raise ValueError("action_grid must be non-empty")
+    if grid.ndim != 2 or grid.shape[1] != dim or not np.isfinite(grid).all():
+        raise invalid
+    return grid
+
+
 def discretize_dynamics(
     model: DynamicsModel, state, action_grid, state_bins
 ) -> DiscreteChannel:
@@ -178,9 +211,7 @@ def discretize_dynamics(
     of the first D-1 mass matrices, and the last one.
     """
     state = _as_vector(state, model.state_dim, "state")
-    actions = [_as_vector(a, model.action_dim, "action_grid entry") for a in action_grid]
-    if not actions:
-        raise ValueError("action_grid must be non-empty")
+    actions = _as_action_grid(action_grid, model.action_dim)
     edges = [np.asarray(e, dtype=float) for e in state_bins]
     for e in edges:
         if e.ndim != 1 or e.size < 2 or not (np.diff(e) > 0).all():
@@ -188,9 +219,8 @@ def discretize_dynamics(
     if len(edges) != model.state_dim:
         raise ValueError("need one edge array per state dimension")
 
-    conds = [model.conditional(state, a) for a in actions]
-    means = np.array([g.mean for g in conds])
-    sds = np.sqrt(np.array([g.variance for g in conds]))
+    means, variances = model.conditionals(state, actions)
+    sds = np.sqrt(variances)
     masses = []
     for d, e in enumerate(edges):
         cdf = ndtr((e - means[:, d, None]) / sds[:, d, None])
@@ -224,28 +254,25 @@ def oracle_empowerment(
     if model.action_dim != 1:
         raise ValueError("oracle_empowerment supports scalar actions only")
     state = _as_vector(state, model.state_dim, "state")
-    if n_actions < 1:
-        raise ValueError("n_actions must be >= 1")
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
+    for name, count in (("n_actions", n_actions), ("bins", bins)):
+        if not isinstance(count, numbers.Integral):
+            raise ValueError(f"{name} must be an integer")
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1")
     if not np.isfinite(action_range):
         raise ValueError("action_range must be finite")
     if not 0 < pad_sigma < np.inf:
         raise ValueError("pad_sigma must be positive and finite")
-    acts = np.linspace(-action_range, action_range, n_actions)
-    means = np.empty((n_actions, model.state_dim))
-    sds = np.empty_like(means)
-    for i, a in enumerate(acts):
-        g = model.conditional(state, [a])
-        means[i] = g.mean
-        sds[i] = np.sqrt(g.variance)
+    acts = np.linspace(-action_range, action_range, n_actions)[:, None]
+    means, variances = model.conditionals(state, acts)
+    sds = np.sqrt(variances)
     edges = []
     for d in range(model.state_dim):
         pad = pad_sigma * sds[:, d].max()
         edges.append(
             np.linspace(means[:, d].min() - pad, means[:, d].max() + pad, bins + 1)
         )
-    ch = discretize_dynamics(model, state, [[a] for a in acts], edges)
+    ch = discretize_dynamics(model, state, acts, edges)
     return blahut_arimoto(ch, tol=tol, max_iter=max_iter)
 
 

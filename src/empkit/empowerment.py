@@ -66,7 +66,9 @@ class GaussianPolicy:
     action_log_std: np.ndarray
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.action_mean, dtype=float))
+        # a copy (the clip below copies log_std), so that freezing them
+        # leaves the caller's arrays writable
+        mean = np.atleast_1d(np.array(self.action_mean, dtype=float))
         log_std = np.atleast_1d(np.asarray(self.action_log_std, dtype=float))
         if mean.shape != log_std.shape or mean.ndim != 1:
             raise ValueError("mean and log_std must be vectors of equal length")

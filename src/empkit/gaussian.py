@@ -28,8 +28,9 @@ class DiagonalGaussian:
     variance: np.ndarray
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        variance = np.atleast_1d(np.asarray(self.variance, dtype=float))
+        # copies, so that freezing them leaves the caller's arrays writable
+        mean = np.atleast_1d(np.array(self.mean, dtype=float))
+        variance = np.atleast_1d(np.array(self.variance, dtype=float))
         if mean.ndim != 1 or variance.ndim != 1:
             raise ValueError("mean and variance must be vectors")
         if mean.shape != variance.shape:

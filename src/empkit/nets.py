@@ -208,6 +208,23 @@ class DynamicsModel:
         d = self.state_dim
         return DiagonalGaussian(y[:d], np.exp(2.0 * y[d:]))
 
+    def conditionals(self, state, actions):
+        """Means and variances of p(x'|x,a) for each row of ``actions``.
+
+        ``actions`` is (n, action_dim); both results are (n, state_dim).
+        The rows go through the net as a stack of one-row batches, so that
+        each takes the same BLAS matrix-vector product as a single
+        ``conditional`` call and row i equals ``conditional(state,
+        actions[i])`` bit for bit; a plain (n, in) batch rounds differently.
+        """
+        actions = np.asarray(actions, dtype=float)
+        d = self.state_dim
+        x = np.empty((len(actions), 1, self.net.in_dim))
+        x[:, 0, :d] = state
+        x[:, 0, d:] = actions
+        y = forward_point(self.net, x)[:, 0]
+        return y[:, :d], np.exp(2.0 * y[:, d:])
+
 
 def forward_point(net: FeedforwardNet, x) -> np.ndarray:
     """Plain forward pass; accepts a vector or a batch of row vectors."""

@@ -118,6 +118,69 @@ def mixing_model():
     return DynamicsModel(FeedforwardNet((layer,)), state_dim=3, action_dim=1)
 
 
+def forbid_evaluation(monkeypatch):
+    """Record, instead of running, every call of the model's single-action
+    and batched conditionals; returns the list of recorded calls."""
+    calls = []
+    for name in ("conditional", "conditionals"):
+        monkeypatch.setattr(
+            DynamicsModel, name, lambda *a, name=name: calls.append(name)
+        )
+    return calls
+
+
+def conditional_1d(model, state, action):
+    """Reference: one action through the net as a plain vector, layer by
+    layer, as mean and variance of p(x'|x,a)."""
+    h = np.concatenate([state, action])
+    for layer in model.net.layers:
+        h = layer.act(h @ layer.weights.T + layer.bias)
+    d = model.state_dim
+    return h[:d], np.exp(2.0 * h[d:])
+
+
+def two_action_model():
+    """2-D state, 2-D action, two mixed-activation layers."""
+    rng = np.random.default_rng(21)
+    tags = ("tanh", "sine", "sine", "identity", "cosine")
+    hidden = LayerSpec(rng.normal(size=(5, 4)), rng.normal(size=5), tags)
+    out = LayerSpec(0.5 * rng.normal(size=(4, 5)), rng.normal(size=4), "tanh")
+    return DynamicsModel(FeedforwardNet((hidden, out)), state_dim=2, action_dim=2)
+
+
+class TestConditionals:
+    @pytest.mark.parametrize(
+        "case", ["ac5_states", "shift_1d", "mixing_3d", "two_actions", "single_row"]
+    )
+    def test_rows_equal_one_action_at_a_time(self, case):
+        rng = np.random.default_rng(22)
+        if case == "ac5_states":
+            model = build_pendulum_dynamics(PendulumParams())
+            states = [
+                np.array([-np.pi * (1 - u), -8.0 * (1 - u)]) for u in np.linspace(0, 1, 25)
+            ]
+            actions = np.linspace(-4.0, 4.0, 64)[:, None]
+        elif case == "shift_1d":
+            model, states = shift_model(0.7), [np.array([0.2]), np.array([-3.1])]
+            actions = rng.normal(size=(17, 1))
+        elif case == "mixing_3d":
+            model, states = mixing_model(), [np.array([0.5, -1.0, 0.3])]
+            actions = rng.normal(size=(9, 1))
+        elif case == "two_actions":
+            model, states = two_action_model(), [rng.normal(size=2) for _ in range(5)]
+            actions = rng.normal(size=(33, 2))
+        else:
+            model = build_pendulum_dynamics(PendulumParams())
+            states, actions = [np.array([0.4, -1.5])], np.array([[1.25]])
+        for state in states:
+            means, variances = model.conditionals(state, actions)
+            assert means.shape == variances.shape == (len(actions), model.state_dim)
+            for i, a in enumerate(actions):
+                mean, variance = conditional_1d(model, state, a)
+                assert np.array_equal(means[i], mean)
+                assert np.array_equal(variances[i], variance)
+
+
 class TestDiscreteChannel:
     def test_rows_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -136,6 +199,21 @@ class TestDiscreteChannel:
         ch = DiscreteChannel(np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError):
             ch.transition[0, 0] = 1.0
+
+    def test_caller_matrix_stays_writable_and_detached(self):
+        P = np.eye(2)
+        ch = DiscreteChannel(P)
+        P[0, 0] = 0.5
+        np.testing.assert_array_equal(ch.transition, np.eye(2))
+        np.testing.assert_array_equal(ch.right, np.eye(2))
+
+    def test_caller_factors_stay_writable_and_detached(self):
+        left, right = np.ones((2, 1)), np.eye(2)
+        ch = DiscreteChannel.from_factors(left, right)
+        left[0, 0], right[0, 0] = 0.5, 0.5
+        np.testing.assert_array_equal(ch.left, np.ones((2, 1)))
+        np.testing.assert_array_equal(ch.right, np.eye(2))
+        np.testing.assert_array_equal(ch.transition, np.eye(2))
 
     def test_matrix_is_its_own_right_factor(self):
         P = np.array([[0.2, 0.8], [0.6, 0.4]])
@@ -331,15 +409,24 @@ class TestDiscretizeDynamics:
             ([np.inf], [[0.0]], [[-1.0, 1.0]], "state must be a finite vector of length 1"),
             ([0.0], [[0.0, 1.0]], [[-1.0, 1.0]], "action_grid entry must be a finite"),
             ([0.0], [[np.nan]], [[-1.0, 1.0]], "action_grid entry must be a finite"),
+            ([0.0], [[0.0], [0.0, 1.0]], [[-1.0, 1.0]], "action_grid entry must be a finite"),
+            ([0.0], [0.0, 1.0], [[-1.0, 1.0]], "action_grid entry must be a finite"),
             ([0.0], [[0.0]], [[-1.0, np.nan, 1.0]], "bin edges must be strictly increasing"),
         ],
-        ids=["state_length", "state_inf", "action_length", "action_nan", "edge_nan"],
+        ids=[
+            "state_length",
+            "state_inf",
+            "action_length",
+            "action_nan",
+            "action_ragged",
+            "action_flat",
+            "edge_nan",
+        ],
     )
     def test_bad_input_rejected_before_any_conditional(
         self, monkeypatch, state, actions, edges, match
     ):
-        calls = []
-        monkeypatch.setattr(DynamicsModel, "conditional", lambda *a: calls.append(a))
+        calls = forbid_evaluation(monkeypatch)
         with pytest.raises(ValueError, match=match):
             discretize_dynamics(shift_model(), state, actions, edges)
         assert calls == []
@@ -432,6 +519,9 @@ class TestOracleEmpowerment:
             ([np.inf, 0.0], {}, "state must be a finite vector of length 2"),
             ([0.0, 0.0], {"n_actions": 0}, "n_actions must be >= 1"),
             ([0.0, 0.0], {"bins": 0}, "bins must be >= 1"),
+            ([0.0, 0.0], {"n_actions": 2.5}, "n_actions must be an integer"),
+            ([0.0, 0.0], {"bins": 2.5}, "bins must be an integer"),
+            ([0.0, 0.0], {"bins": 41.0}, "bins must be an integer"),
             ([0.0, 0.0], {"pad_sigma": -1.0}, "pad_sigma must be positive"),
             ([0.0, 0.0], {"pad_sigma": np.inf}, "pad_sigma must be positive"),
             ([0.0, 0.0], {"action_range": np.nan}, "action_range must be finite"),
@@ -441,6 +531,9 @@ class TestOracleEmpowerment:
             "state_inf",
             "n_actions",
             "bins",
+            "n_actions_fraction",
+            "bins_fraction",
+            "bins_float",
             "pad_sigma_negative",
             "pad_sigma_inf",
             "action_range_nan",
@@ -450,8 +543,7 @@ class TestOracleEmpowerment:
         self, monkeypatch, state, kwargs, match
     ):
         model = build_pendulum_dynamics(PendulumParams())
-        calls = []
-        monkeypatch.setattr(DynamicsModel, "conditional", lambda *a: calls.append(a))
+        calls = forbid_evaluation(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=match):

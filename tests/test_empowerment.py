@@ -86,6 +86,15 @@ class TestGaussianPolicy:
         with pytest.raises(ValueError):
             GaussianPolicy([0.0, 1.0], [0.0])
 
+    def test_caller_arrays_stay_writable_and_detached(self):
+        mean, log_std = np.array([0.5]), np.array([-1.0])
+        pol = GaussianPolicy(mean, log_std)
+        mean[0], log_std[0] = 2.0, 1.0
+        np.testing.assert_array_equal(pol.action_mean, [0.5])
+        np.testing.assert_array_equal(pol.action_log_std, [-1.0])
+        with pytest.raises(ValueError):
+            pol.action_mean[0] = 2.0
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             GaussianPolicy([np.inf], [0.0])

@@ -34,6 +34,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DiagonalGaussian([], [])
 
+    def test_caller_arrays_stay_writable_and_detached(self):
+        mean, variance = np.array([0.0, 1.0]), np.array([2.0, 3.0])
+        g = DiagonalGaussian(mean, variance)
+        mean[0], variance[0] = 5.0, 7.0
+        np.testing.assert_array_equal(g.mean, [0.0, 1.0])
+        np.testing.assert_array_equal(g.variance, [2.0, 3.0])
+        with pytest.raises(ValueError):
+            g.mean[0] = 5.0
+
     def test_zero_variance_allowed_for_degenerate_inputs(self):
         g = DiagonalGaussian([1.0], [0.0])
         assert g.variance[0] == 0.0

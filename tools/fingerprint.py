@@ -12,7 +12,10 @@ package) and prints ``float.hex`` of a fixed set of outputs, one per line:
 * ``mi_lower_bound``, ``mi_lower_bound_with_gradient``,
   ``marginal_transition`` and ``forward_moments`` at 40 seeded random
   states, policies, sample counts and seeds;
-* ``select_action`` from (pi, 0) over torques -2, 0, 2.
+* ``select_action`` from (pi, 0) over torques -2, 0, 2;
+* ``oracle_empowerment`` at AC-5's settings on its 25-state diagonal: the
+  sha256 of the channel handed to ``blahut_arimoto`` and the iteration
+  count on one line, capacity and gap on the next.
 
 Two source trees compute the same numbers bit for bit exactly when their
 outputs are byte-identical:
@@ -24,6 +27,7 @@ Only public API is used, so any version of the package can be compared.
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -106,6 +110,33 @@ def fingerprint():
     torques = [[-2.0], [0.0], [2.0]]
     a, v = select_action(model, [np.pi, 0.0], torques, OptimizerOptions())
     lines.append(f"select_action {_hex(a)} {_hex(v)}")
+
+    lines.extend(oracle_fingerprint(model))
+    return lines
+
+
+def oracle_fingerprint(model):
+    import empkit.channel
+    from empkit import oracle_empowerment
+
+    channels = []
+    run_ba = empkit.channel.blahut_arimoto
+
+    def recording_ba(ch, *args, **kwargs):
+        channels.append(np.ascontiguousarray(ch.transition))
+        return run_ba(ch, *args, **kwargs)
+
+    lines = []
+    empkit.channel.blahut_arimoto = recording_ba
+    try:
+        for i, u in enumerate(np.linspace(0.0, 1.0, 25)):
+            s = np.array([-np.pi * (1 - u), -8.0 * (1 - u)])
+            res = oracle_empowerment(model, s, n_actions=64, bins=41, tol=1e-3)
+            digest = hashlib.sha256(channels.pop().tobytes()).hexdigest()
+            lines.append(f"oracle[{i}] channel {digest} iterations {res.iterations}")
+            lines.append(f"oracle[{i}] capacity {_hex(res.capacity)} gap {_hex(res.gap)}")
+    finally:
+        empkit.channel.blahut_arimoto = run_ba
     return lines
 
 
