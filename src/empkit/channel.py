@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .nets import DynamicsModel, _as_vector
+from .nets import DynamicsModel, _as_rows, _as_vector
 
 __all__ = [
     "DiscreteChannel",
@@ -160,7 +160,7 @@ def blahut_arimoto(
         np.greater(m, 0.0, out=m_pos)
         np.log(m, out=m, where=m_pos)
         np.matmul(right, m.T, out=rl)
-        D = neg_entropy - np.vecdot(left, rl)
+        D = neg_entropy - np.einsum("ai,ai->a", left, rl)
         lower = float(p @ D)
         upper = float(D.max())
         lower_bounds.append(lower)
@@ -183,21 +183,6 @@ def blahut_arimoto(
     )
 
 
-def _as_action_grid(action_grid, dim):
-    """``action_grid`` as a finite (n, dim) float array with n >= 1, else
-    ValueError."""
-    invalid = ValueError(f"action_grid entry must be a finite vector of length {dim}")
-    try:
-        grid = np.asarray(action_grid, dtype=float)
-    except (TypeError, ValueError):
-        raise invalid from None
-    if grid.ndim >= 1 and len(grid) == 0:
-        raise ValueError("action_grid must be non-empty")
-    if grid.ndim != 2 or grid.shape[1] != dim or not np.isfinite(grid).all():
-        raise invalid
-    return grid
-
-
 def discretize_dynamics(
     model: DynamicsModel, state, action_grid, state_bins
 ) -> DiscreteChannel:
@@ -211,7 +196,7 @@ def discretize_dynamics(
     of the first D-1 mass matrices, and the last one.
     """
     state = _as_vector(state, model.state_dim, "state")
-    actions = _as_action_grid(action_grid, model.action_dim)
+    actions = _as_rows(action_grid, model.action_dim, "action_grid")
     edges = [np.asarray(e, dtype=float) for e in state_bins]
     for e in edges:
         if e.ndim != 1 or e.size < 2 or not (np.diff(e) > 0).all():
@@ -219,8 +204,8 @@ def discretize_dynamics(
     if len(edges) != model.state_dim:
         raise ValueError("need one edge array per state dimension")
 
-    means, variances = model.conditionals(state, actions)
-    sds = np.sqrt(variances)
+    conds = model.conditional(state, actions)
+    means, sds = conds.mean, np.sqrt(conds.variance)
     masses = []
     for d, e in enumerate(edges):
         cdf = ndtr((e - means[:, d, None]) / sds[:, d, None])
@@ -264,8 +249,8 @@ def oracle_empowerment(
     if not 0 < pad_sigma < np.inf:
         raise ValueError("pad_sigma must be positive and finite")
     acts = np.linspace(-action_range, action_range, n_actions)[:, None]
-    means, variances = model.conditionals(state, acts)
-    sds = np.sqrt(variances)
+    conds = model.conditional(state, acts)
+    means, sds = conds.mean, np.sqrt(conds.variance)
     edges = []
     for d in range(model.state_dim):
         pad = pad_sigma * sds[:, d].max()

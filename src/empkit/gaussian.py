@@ -18,6 +18,10 @@ __all__ = ["DiagonalGaussian", "kl_diag_gaussian", "sample"]
 class DiagonalGaussian:
     """A Gaussian with diagonal covariance, stored as mean and variance vectors.
 
+    Mean and variance may also be (n, dim) arrays: a stack of n Gaussians,
+    one per row, such as the conditionals of a batch of actions.  KL,
+    sampling and moment propagation take single Gaussians.
+
     Variances must be non-negative.  Zero variance is permitted so that
     degenerate (deterministic) inputs can be pushed through moment
     propagation; KL computations require strictly positive variances and
@@ -31,8 +35,8 @@ class DiagonalGaussian:
         # copies, so that freezing them leaves the caller's arrays writable
         mean = np.atleast_1d(np.array(self.mean, dtype=float))
         variance = np.atleast_1d(np.array(self.variance, dtype=float))
-        if mean.ndim != 1 or variance.ndim != 1:
-            raise ValueError("mean and variance must be vectors")
+        if mean.ndim > 2:
+            raise ValueError("mean and variance must be vectors or stacks of them")
         if mean.shape != variance.shape:
             raise ValueError(
                 f"dimension mismatch: mean {mean.shape} vs variance {variance.shape}"
@@ -50,7 +54,14 @@ class DiagonalGaussian:
 
     @property
     def dim(self) -> int:
-        return self.mean.size
+        return self.mean.shape[-1]
+
+
+def _single(g: DiagonalGaussian) -> DiagonalGaussian:
+    """``g`` if it is one Gaussian, else ValueError."""
+    if g.mean.ndim != 1:
+        raise ValueError("expected one Gaussian, not a stack")
+    return g
 
 
 def kl_diag_gaussian(p: DiagonalGaussian, q: DiagonalGaussian) -> float:
@@ -60,7 +71,7 @@ def kl_diag_gaussian(p: DiagonalGaussian, q: DiagonalGaussian) -> float:
         ln(sq/sp) + (sp^2 + (mp - mq)^2) / (2 sq^2) - 1/2
     which is exactly zero when p == q componentwise.
     """
-    if p.dim != q.dim:
+    if _single(p).dim != _single(q).dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
     if np.any(p.variance <= 0) or np.any(q.variance <= 0):
         raise ValueError("KL requires strictly positive variances")
@@ -80,5 +91,5 @@ def sample(g: DiagonalGaussian, rng_seed: int, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    eps = rng.standard_normal((n, g.dim))
+    eps = rng.standard_normal((n, _single(g).dim))
     return g.mean + np.sqrt(g.variance) * eps

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import DiagonalGaussian
+from .gaussian import DiagonalGaussian, _single
 
 __all__ = [
     "ACTIVATION_TAGS",
@@ -182,6 +182,25 @@ def _as_vector(x, dim: int, what: str) -> np.ndarray:
     return v
 
 
+def _as_rows(x, dim: int, what: str) -> np.ndarray:
+    """``x`` as a finite (n, dim) float array with n >= 1, else ValueError.
+
+    For ``dim`` 1 a flat sequence of n scalars is taken as n rows.
+    """
+    invalid = ValueError(f"{what} entry must be a finite vector of length {dim}")
+    try:
+        rows = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise invalid from None
+    if rows.ndim == 1 and dim == 1:
+        rows = rows[:, None]
+    if rows.ndim >= 1 and len(rows) == 0:
+        raise ValueError(f"{what} must be non-empty")
+    if rows.ndim != 2 or rows.shape[1] != dim or not np.isfinite(rows).all():
+        raise invalid
+    return rows
+
+
 @dataclass(frozen=True)
 class DynamicsModel:
     """Gaussian one-step dynamics p(x'|x,a) packaged as a network.
@@ -202,28 +221,28 @@ class DynamicsModel:
             raise ValueError("net output dim must equal 2 * state_dim")
 
     def conditional(self, state, action) -> DiagonalGaussian:
-        """p(x'|x,a) as a DiagonalGaussian."""
-        x = np.concatenate([np.atleast_1d(state), np.atleast_1d(action)])
-        y = forward_point(self.net, x)
-        d = self.state_dim
-        return DiagonalGaussian(y[:d], np.exp(2.0 * y[d:]))
+        """p(x'|x,a) as a DiagonalGaussian.
 
-    def conditionals(self, state, actions):
-        """Means and variances of p(x'|x,a) for each row of ``actions``.
-
-        ``actions`` is (n, action_dim); both results are (n, state_dim).
-        The rows go through the net as a stack of one-row batches, so that
-        each takes the same BLAS matrix-vector product as a single
-        ``conditional`` call and row i equals ``conditional(state,
-        actions[i])`` bit for bit; a plain (n, in) batch rounds differently.
+        ``action`` is one action, or an (n, action_dim) batch of them that
+        gives a stack of n Gaussians.  The rows go through the net as a
+        stack of one-row batches, so that each takes the same BLAS
+        matrix-vector product as a lone action and row i equals the
+        conditional of action i alone bit for bit; a plain (n, in) batch
+        rounds differently.
         """
-        actions = np.asarray(actions, dtype=float)
+        state = _as_vector(state, self.state_dim, "state")
+        single = np.ndim(action) < 2
+        actions = _as_rows(
+            np.atleast_1d(action)[None] if single else action, self.action_dim, "action"
+        )
         d = self.state_dim
         x = np.empty((len(actions), 1, self.net.in_dim))
         x[:, 0, :d] = state
         x[:, 0, d:] = actions
         y = forward_point(self.net, x)[:, 0]
-        return y[:, :d], np.exp(2.0 * y[:, d:])
+        if single:
+            y = y[0]
+        return DiagonalGaussian(y[..., :d], np.exp(2.0 * y[..., d:]))
 
 
 def forward_point(net: FeedforwardNet, x) -> np.ndarray:
@@ -243,6 +262,7 @@ def forward_moments(net: FeedforwardNet, g: DiagonalGaussian) -> DiagonalGaussia
 
     Each propagated variance is floored at ``VAR_FLOOR``.
     """
+    g = _single(g)
     H, v, _ = _fused_trace(net, g.mean[None, None, :], g.variance[None, :])
     return DiagonalGaussian(H[0, 0], v[0])
 

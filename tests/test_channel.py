@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import empkit.nets
+
 from empkit import (
     CapacityResult,
     DiagonalGaussian,
@@ -119,13 +121,15 @@ def mixing_model():
 
 
 def forbid_evaluation(monkeypatch):
-    """Record, instead of running, every call of the model's single-action
-    and batched conditionals; returns the list of recorded calls."""
+    """Record, instead of running, every call of the model's conditional and
+    of the net's forward pass; returns the list of recorded calls."""
     calls = []
-    for name in ("conditional", "conditionals"):
-        monkeypatch.setattr(
-            DynamicsModel, name, lambda *a, name=name: calls.append(name)
-        )
+    monkeypatch.setattr(
+        DynamicsModel, "conditional", lambda *a: calls.append("conditional")
+    )
+    monkeypatch.setattr(
+        empkit.nets, "forward_point", lambda *a: calls.append("forward_point")
+    )
     return calls
 
 
@@ -148,11 +152,11 @@ def two_action_model():
     return DynamicsModel(FeedforwardNet((hidden, out)), state_dim=2, action_dim=2)
 
 
-class TestConditionals:
+class TestConditional:
     @pytest.mark.parametrize(
         "case", ["ac5_states", "shift_1d", "mixing_3d", "two_actions", "single_row"]
     )
-    def test_rows_equal_one_action_at_a_time(self, case):
+    def test_batch_rows_equal_one_action_at_a_time(self, case):
         rng = np.random.default_rng(22)
         if case == "ac5_states":
             model = build_pendulum_dynamics(PendulumParams())
@@ -173,12 +177,44 @@ class TestConditionals:
             model = build_pendulum_dynamics(PendulumParams())
             states, actions = [np.array([0.4, -1.5])], np.array([[1.25]])
         for state in states:
-            means, variances = model.conditionals(state, actions)
-            assert means.shape == variances.shape == (len(actions), model.state_dim)
+            stack = model.conditional(state, actions)
+            assert stack.mean.shape == (len(actions), model.state_dim)
             for i, a in enumerate(actions):
                 mean, variance = conditional_1d(model, state, a)
-                assert np.array_equal(means[i], mean)
-                assert np.array_equal(variances[i], variance)
+                assert np.array_equal(stack.mean[i], mean)
+                assert np.array_equal(stack.variance[i], variance)
+                one = model.conditional(state, a)
+                assert one.mean.shape == (model.state_dim,)
+                assert np.array_equal(one.mean, mean)
+                assert np.array_equal(one.variance, variance)
+
+    def test_vector_action_is_one_action(self):
+        model, state = two_action_model(), np.array([0.3, -0.4])
+        g = model.conditional(state, [0.5, -1.0])
+        stack = model.conditional(state, [[0.5, -1.0]])
+        assert g.mean.shape == (2,) and stack.mean.shape == (1, 2)
+        assert np.array_equal(g.mean, stack.mean[0])
+
+    @pytest.mark.parametrize(
+        "state, action, match",
+        [
+            ([np.nan, 0.0], [0.5, -1.0], "state must be a finite vector of length 2"),
+            ([0.0], [0.5, -1.0], "state must be a finite vector of length 2"),
+            ([0.0, 0.0], [0.5], "action entry must be a finite vector of length 2"),
+            ([0.0, 0.0], [[0.5, -1.0, 2.0]], "action entry must be a finite"),
+            ([0.0, 0.0], [[0.5, np.inf]], "action entry must be a finite"),
+            ([0.0, 0.0], np.empty((0, 2)), "action must be non-empty"),
+        ],
+        ids=["state_nan", "state_length", "action_length", "batch_width", "batch_inf",
+             "batch_empty"],
+    )
+    def test_bad_input_rejected_before_evaluation(self, monkeypatch, state, action, match):
+        model = two_action_model()
+        calls = []
+        monkeypatch.setattr(empkit.nets, "forward_point", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=match):
+            model.conditional(state, action)
+        assert calls == []
 
 
 class TestDiscreteChannel:
@@ -410,7 +446,7 @@ class TestDiscretizeDynamics:
             ([0.0], [[0.0, 1.0]], [[-1.0, 1.0]], "action_grid entry must be a finite"),
             ([0.0], [[np.nan]], [[-1.0, 1.0]], "action_grid entry must be a finite"),
             ([0.0], [[0.0], [0.0, 1.0]], [[-1.0, 1.0]], "action_grid entry must be a finite"),
-            ([0.0], [0.0, 1.0], [[-1.0, 1.0]], "action_grid entry must be a finite"),
+            ([0.0], [], [[-1.0, 1.0]], "action_grid must be non-empty"),
             ([0.0], [[0.0]], [[-1.0, np.nan, 1.0]], "bin edges must be strictly increasing"),
         ],
         ids=[
@@ -419,7 +455,7 @@ class TestDiscretizeDynamics:
             "action_length",
             "action_nan",
             "action_ragged",
-            "action_flat",
+            "action_empty",
             "edge_nan",
         ],
     )
@@ -430,6 +466,12 @@ class TestDiscretizeDynamics:
         with pytest.raises(ValueError, match=match):
             discretize_dynamics(shift_model(), state, actions, edges)
         assert calls == []
+
+    def test_flat_grid_of_scalar_actions(self):
+        model, edges = shift_model(0.7), [np.linspace(-3, 3, 12)]
+        flat = discretize_dynamics(model, [0.2], [-1.0, 0.0, 1.5], edges)
+        rows = discretize_dynamics(model, [0.2], [[-1.0], [0.0], [1.5]], edges)
+        assert np.array_equal(flat.transition, rows.transition)
 
     def test_rows_sum_to_one_exactly(self):
         model = shift_model(sigma=0.7)

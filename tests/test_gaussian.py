@@ -43,6 +43,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             g.mean[0] = 5.0
 
+    def test_stack_of_gaussians(self):
+        g = DiagonalGaussian([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]], np.ones((3, 2)))
+        assert g.mean.shape == (3, 2) and g.dim == 2
+        with pytest.raises(ValueError, match="vectors or stacks"):
+            DiagonalGaussian(np.zeros((2, 2, 2)), np.ones((2, 2, 2)))
+
+    def test_information_quantities_reject_stacks(self):
+        one = DiagonalGaussian([0.0, 1.0], [1.0, 2.0])
+        stack = DiagonalGaussian([[0.0, 1.0]], [[1.0, 2.0]])
+        for call in (
+            lambda: kl_diag_gaussian(stack, one),
+            lambda: kl_diag_gaussian(one, stack),
+            lambda: sample(stack, 0, 3),
+        ):
+            with pytest.raises(ValueError, match="not a stack"):
+                call()
+
     def test_zero_variance_allowed_for_degenerate_inputs(self):
         g = DiagonalGaussian([1.0], [0.0])
         assert g.variance[0] == 0.0

@@ -112,6 +112,10 @@ class TestPropagateLinear:
         np.testing.assert_allclose(out.mean, [2.0])
         np.testing.assert_allclose(out.variance, [1.0])
 
+    def test_stack_rejected(self):
+        with pytest.raises(ValueError, match="not a stack"):
+            forward_moments(one_layer([[2.0]], [0.0]), DiagonalGaussian([[1.0]], [[0.25]]))
+
     def test_translation_leaves_variance(self):
         bias = np.array([5.0, -3.0])
         g = DiagonalGaussian([0.0, 1.0], [0.3, 0.7])
