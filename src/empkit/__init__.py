@@ -6,23 +6,18 @@ closed-form Gaussian KL divergences and moment propagation through a
 dynamics network.
 """
 
-from .gaussian import DiagonalGaussian, kl_diag_gaussian, sample
+from .gaussian import DiagonalGaussian, kl_diag_gaussian
 from .nets import (
-    ACTIVATION_TAGS,
     DynamicsModel,
     FeedforwardNet,
     LayerSpec,
     forward_moments,
     forward_point,
-    net_from_json,
-    net_to_json,
 )
 from .channel import (
     CapacityResult,
     DiscreteChannel,
     blahut_arimoto,
-    channel_from_csv,
-    channel_to_csv,
     discretize_dynamics,
     oracle_empowerment,
 )
@@ -41,7 +36,6 @@ from .pendulum import (
     PendulumParams,
     PendulumState,
     build_pendulum_dynamics,
-    mechanical_energy,
     pendulum_step,
     pendulum_step_smooth,
     wrap_angle,

@@ -8,7 +8,6 @@ in nats.
 
 from __future__ import annotations
 
-import csv
 import numbers
 from dataclasses import dataclass, field
 
@@ -23,8 +22,6 @@ __all__ = [
     "blahut_arimoto",
     "discretize_dynamics",
     "oracle_empowerment",
-    "channel_to_csv",
-    "channel_from_csv",
 ]
 
 _ROW_SUM_TOL = 1e-9
@@ -259,21 +256,3 @@ def oracle_empowerment(
         )
     ch = discretize_dynamics(model, state, acts, edges)
     return blahut_arimoto(ch, tol=tol, max_iter=max_iter)
-
-
-def channel_to_csv(ch: DiscreteChannel, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"bin_{j}" for j in range(ch.n_states)])
-        for row in ch.transition:
-            writer.writerow([f"{v:.17g}" for v in row])
-
-
-def channel_from_csv(path) -> DiscreteChannel:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    if not rows or any(len(r) != len(header) for r in rows):
-        raise ValueError("malformed channel CSV")
-    return DiscreteChannel(np.asarray(rows))

@@ -23,7 +23,6 @@ import numpy as np
 from .channel import DiscreteChannel, blahut_arimoto, oracle_empowerment
 from .config import RunConfig, load_config
 from .empowerment import (
-    GaussianPolicy,
     empowerment_landscape,
     maximize_empowerment,
     select_action,
@@ -241,7 +240,6 @@ def _check_affine_moments():
     g = DiagonalGaussian(rng.normal(size=2), rng.uniform(0.5, 1.5, 2))
     out = forward_moments(net, g)
     mean_ref = forward_point(net, g.mean)
-    w = w2 @ w1
     var_ref = (w2**2) @ ((w1**2) @ g.variance)
     return np.allclose(out.mean, mean_ref, rtol=1e-12) and np.allclose(
         out.variance, var_ref, rtol=1e-10

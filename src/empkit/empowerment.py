@@ -185,7 +185,7 @@ def _mi_core(model, state, mean, log_std, eps, want_grad):
     var_a = np.exp(2.0 * log_std)
     actions = mean[:, None, :] + sigma * eps
     mq, vq, noise, Y, trace = _marginal_pass(model, state, mean, var_a, actions)
-    mq, vq = mq[:, None, :], vq[:, None, :]  # broadcast over the sample rows
+    mq, vq = mq[:, None, :], vq[:, None, :]  # broadcast over the sampled rows
     mp = Y[:, 1:, :d]
     vp = np.exp(2.0 * Y[:, 1:, d:])
 
@@ -249,7 +249,12 @@ def mi_lower_bound(
     mc_samples: int,
     seed: int,
 ) -> float:
-    """Monte Carlo mutual-information objective, deterministic per seed."""
+    """Monte Carlo mutual-information objective, deterministic per seed.
+
+    Not a lower bound: it estimates E_a KL(p(x'|x,a) || q), q the propagated
+    marginal, and for any q that is I_pi(A; X') + KL(p_pi(x'|x) || q) >=
+    I_pi(A; X').  The name stays because perfbench/workloads.py calls it.
+    """
     return _objective(model, state, policy, mc_samples, seed, False)
 
 
@@ -260,7 +265,9 @@ def mi_lower_bound_with_gradient(
     mc_samples: int,
     seed: int,
 ):
-    """Objective plus analytic gradient wrt (action_mean, action_log_std)."""
+    """Objective plus analytic gradient wrt (action_mean, action_log_std).
+    As with ``mi_lower_bound``, the objective is not a lower bound on I_pi,
+    and the name stays because perfbench/workloads.py calls it."""
     return _objective(model, state, policy, mc_samples, seed, True)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DiagonalGaussian", "kl_diag_gaussian", "sample"]
+__all__ = ["DiagonalGaussian", "kl_diag_gaussian"]
 
 
 @dataclass(frozen=True)
@@ -19,8 +19,8 @@ class DiagonalGaussian:
     """A Gaussian with diagonal covariance, stored as mean and variance vectors.
 
     Mean and variance may also be (n, dim) arrays: a stack of n Gaussians,
-    one per row, such as the conditionals of a batch of actions.  KL,
-    sampling and moment propagation take single Gaussians.
+    one per row, such as the conditionals of a batch of actions.  KL
+    and moment propagation take single Gaussians.
 
     Variances must be non-negative.  Zero variance is permitted so that
     degenerate (deterministic) inputs can be pushed through moment
@@ -80,16 +80,3 @@ def kl_diag_gaussian(p: DiagonalGaussian, q: DiagonalGaussian) -> float:
         2.0 * q.variance
     ) - 0.5
     return float(np.sum(terms))
-
-
-def sample(g: DiagonalGaussian, rng_seed: int, n: int) -> np.ndarray:
-    """Draw n reparameterized samples, shape (n, dim).
-
-    Deterministic for a fixed seed: mean + sqrt(variance) * eps with eps
-    from a PCG64 stream.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    eps = rng.standard_normal((n, _single(g).dim))
-    return g.mean + np.sqrt(g.variance) * eps

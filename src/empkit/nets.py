@@ -17,7 +17,6 @@ branch next to pass-through units) in a single layer.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,14 +24,11 @@ import numpy as np
 from .gaussian import DiagonalGaussian, _single
 
 __all__ = [
-    "ACTIVATION_TAGS",
     "LayerSpec",
     "FeedforwardNet",
     "DynamicsModel",
     "forward_point",
     "forward_moments",
-    "net_to_json",
-    "net_from_json",
 ]
 
 VAR_FLOOR = 1e-8
@@ -70,8 +66,6 @@ _ACT = {
     "cosine": (np.cos, _cosine_all),
     "square": (lambda z: z * z, _square_all),
 }
-
-ACTIVATION_TAGS = frozenset(_ACT)
 
 
 @dataclass(frozen=True)
@@ -282,7 +276,7 @@ def forward_moments(net: FeedforwardNet, g: DiagonalGaussian) -> DiagonalGaussia
 
 
 def _fused_trace(net, H, v):
-    """Moment row and sample rows pushed through the net together, per lane.
+    """Moment row and sampled rows pushed through the net together, per lane.
 
     ``H`` is (lanes, rows, in): row 0 of each lane is the mean of a diagonal
     Gaussian whose variance is that lane's row of ``v`` (lanes, in); it
@@ -315,35 +309,3 @@ def _fused_backprop(trace, G, gv):
         gv = ((dF[:, 0] ** 2 * gv)[:, None, :] @ layer._weights_sq)[:, 0]
         G = GZ @ layer.weights
     return G, gv
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-
-
-def _layer_to_dict(layer: LayerSpec) -> dict:
-    uniform = len(layer._runs) == 1
-    return {
-        "weights": layer.weights.tolist(),
-        "bias": layer.bias.tolist(),
-        "activation": layer.tags[0] if uniform else list(layer.tags),
-    }
-
-
-def net_to_json(net: FeedforwardNet) -> str:
-    return json.dumps({"layers": [_layer_to_dict(l) for l in net.layers]})
-
-
-def net_from_json(doc: str) -> FeedforwardNet:
-    data = json.loads(doc)
-    layers = []
-    for entry in data["layers"]:
-        act = entry["activation"]
-        layers.append(
-            LayerSpec(
-                np.asarray(entry["weights"], dtype=float),
-                np.asarray(entry["bias"], dtype=float),
-                act if isinstance(act, str) else tuple(act),
-            )
-        )
-    return FeedforwardNet(tuple(layers))

@@ -30,7 +30,6 @@ __all__ = [
     "pendulum_step",
     "pendulum_step_smooth",
     "build_pendulum_dynamics",
-    "mechanical_energy",
 ]
 
 VEL_LIMIT = 8.0
@@ -148,10 +147,3 @@ def build_pendulum_dynamics(p: PendulumParams) -> DynamicsModel:
     )
     l3 = LayerSpec(np.diag([np.pi, V, 1.0, 1.0]), np.zeros(4), "identity")
     return DynamicsModel(FeedforwardNet((l1, l2, l3)), state_dim=2, action_dim=1)
-
-
-def mechanical_energy(s: PendulumState, p: PendulumParams) -> float:
-    """Kinetic plus potential energy; potential is maximal upright (angle 0)."""
-    kinetic = 0.5 * p.mass * p.length**2 * s.angular_velocity**2
-    potential = p.mass * p.gravity * p.length * np.cos(s.angle)
-    return float(kinetic + potential)

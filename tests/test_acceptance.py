@@ -127,7 +127,7 @@ def test_ac3_moment_propagation():
             )
             np.testing.assert_allclose(out.variance, v_ref, rtol=1e-12)
 
-        # smooth nets, small input variance: delta method vs 1e6-sample MC
+        # smooth nets, small input variance: delta method vs 1e6-draw MC
         rng = np.random.default_rng(11)
         for _ in range(20):
             din = int(rng.integers(2, 5))

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import empkit.nets
@@ -17,8 +19,6 @@ from empkit import (
     PendulumParams,
     blahut_arimoto,
     build_pendulum_dynamics,
-    channel_from_csv,
-    channel_to_csv,
     discretize_dynamics,
     oracle_empowerment,
 )
@@ -102,6 +102,18 @@ def outer_loop_discretization(model, state, action_grid, state_bins):
 
 def row_kron(left, right):
     return np.einsum("ai,aj->aij", left, right).reshape(len(left), -1)
+
+
+@st.composite
+def dirichlet_rows(draw, n_rows=None):
+    """A row-stochastic matrix with 1-6 rows (or ``n_rows``) and 1-6
+    columns: Dirichlet rows, their concentration ranging from nearly
+    deterministic rows to nearly uniform ones."""
+    n_rows = n_rows or draw(st.integers(1, 6))
+    n_cols = draw(st.integers(1, 6))
+    alpha = draw(st.sampled_from([0.2, 1.0, 5.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.dirichlet(np.full(n_cols, alpha), size=n_rows)
 
 
 def shift_model(sigma=0.5):
@@ -425,6 +437,51 @@ class TestBlahutArimoto:
         np.testing.assert_allclose(res.lower_bounds, ref.lower_bounds, rtol=0, atol=1e-12)
 
 
+# Each property holds whether or not BA converges within max_iter, so a
+# budget below the default keeps slowly converging draws cheap.
+_PROPERTY_BA = {"tol": 1e-10, "max_iter": 2_000}
+
+
+class TestBlahutArimotoProperties:
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(P=dirichlet_rows())
+    def test_capacity_within_log_of_smaller_alphabet(self, P):
+        res = blahut_arimoto(DiscreteChannel(P), **_PROPERTY_BA)
+        # 1e-12: a single action's capacity is 0 up to rounding
+        assert 0.0 <= res.capacity <= np.log(min(P.shape)) + 1e-12
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(P=dirichlet_rows())
+    def test_capacity_is_last_of_nondecreasing_lower_bounds(self, P):
+        res = blahut_arimoto(DiscreteChannel(P), **_PROPERTY_BA)
+        assert np.all(np.diff(res.lower_bounds) >= -1e-12)
+        assert res.capacity == max(res.lower_bounds[-1], 0.0)
+        assert res.gap >= 0.0
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_capacity_invariant_under_row_and_column_permutation(self, data):
+        P = data.draw(dirichlet_rows())
+        rows = data.draw(st.permutations(range(P.shape[0])))
+        cols = data.draw(st.permutations(range(P.shape[1])))
+        base = blahut_arimoto(DiscreteChannel(P), **_PROPERTY_BA).capacity
+        permuted = DiscreteChannel(P[np.ix_(rows, cols)])
+        assert blahut_arimoto(permuted, **_PROPERTY_BA).capacity == pytest.approx(
+            base, abs=1e-9
+        )
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_factored_channel_matches_dense_matrix(self, data):
+        left = data.draw(dirichlet_rows())
+        right = data.draw(dirichlet_rows(n_rows=len(left)))
+        factored = DiscreteChannel.from_factors(left, right)
+        dense = DiscreteChannel(row_kron(left, right))
+        assert blahut_arimoto(factored, **_PROPERTY_BA).capacity == pytest.approx(
+            blahut_arimoto(dense, **_PROPERTY_BA).capacity, abs=1e-9
+        )
+
+
 class TestDiscretizeDynamics:
     @pytest.mark.parametrize("case", ["ac5_state", "shift_1d", "mixing_3d"])
     def test_equals_per_action_outer_products(self, case):
@@ -599,28 +656,3 @@ class TestOracleEmpowerment:
         )
         with pytest.raises(ValueError):
             oracle_empowerment(model, [0.0])
-
-
-class TestChannelCsv:
-    def test_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(9)
-        P = rng.dirichlet(np.ones(5), size=3)
-        P = P / P.sum(axis=1, keepdims=True)
-        ch = DiscreteChannel(P)
-        path = tmp_path / "channel.csv"
-        channel_to_csv(ch, path)
-        restored = channel_from_csv(path)
-        np.testing.assert_array_equal(restored.transition, ch.transition)
-
-    def test_header_names_bins(self, tmp_path):
-        ch = DiscreteChannel([[0.5, 0.5]])
-        path = tmp_path / "channel.csv"
-        channel_to_csv(ch, path)
-        first = path.read_text().splitlines()[0]
-        assert first == "bin_0,bin_1"
-
-    def test_malformed_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("bin_0,bin_1\n0.5\n")
-        with pytest.raises(ValueError):
-            channel_from_csv(path)

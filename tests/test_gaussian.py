@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
-from empkit import DiagonalGaussian, kl_diag_gaussian, sample
+from empkit import DiagonalGaussian, kl_diag_gaussian
 
 
 def univariate_kl_quadrature(mp, vp, mq, vq):
@@ -55,7 +55,6 @@ class TestConstruction:
         for call in (
             lambda: kl_diag_gaussian(stack, one),
             lambda: kl_diag_gaussian(one, stack),
-            lambda: sample(stack, 0, 3),
         ):
             with pytest.raises(ValueError, match="not a stack"):
                 call()
@@ -141,26 +140,3 @@ class TestKL:
             assert closed == pytest.approx(
                 univariate_kl_quadrature(mp, vp, mq, vq), abs=1e-6
             )
-
-
-class TestSample:
-    def test_same_seed_identical(self):
-        g = DiagonalGaussian([1.0, -2.0], [0.5, 2.0])
-        a = sample(g, rng_seed=7, n=100)
-        b = sample(g, rng_seed=7, n=100)
-        np.testing.assert_array_equal(a, b)
-
-    def test_vanishing_variance_returns_mean(self):
-        g = DiagonalGaussian([3.0, -1.0], [1e-30, 1e-30])
-        draws = sample(g, rng_seed=0, n=50)
-        np.testing.assert_allclose(draws, np.tile(g.mean, (50, 1)), atol=1e-12)
-
-    def test_sample_mean_clt_bound(self):
-        g = DiagonalGaussian([0.0], [1.0])
-        n = 100_000
-        draws = sample(g, rng_seed=123, n=n)
-        assert abs(draws.mean()) < 3.0 / np.sqrt(n)
-
-    def test_n_must_be_positive(self):
-        with pytest.raises(ValueError):
-            sample(DiagonalGaussian([0.0], [1.0]), 0, 0)

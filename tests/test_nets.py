@@ -8,8 +8,6 @@ from empkit import (
     LayerSpec,
     forward_moments,
     forward_point,
-    net_from_json,
-    net_to_json,
 )
 
 
@@ -250,34 +248,3 @@ class TestForwardMoments:
             ys = forward_point(net, draws)
             np.testing.assert_allclose(ys.mean(axis=0), out.mean, rtol=0.01, atol=1e-2)
             np.testing.assert_allclose(ys.var(axis=0), out.variance, rtol=0.10)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(12)
-        net = FeedforwardNet(
-            (
-                LayerSpec(
-                    rng.normal(size=(3, 2)), rng.normal(size=3), ("sine", "tanh", "identity")
-                ),
-                LayerSpec(rng.normal(size=(2, 3)), rng.normal(size=2), "square"),
-            )
-        )
-        restored = net_from_json(net_to_json(net))
-        assert len(restored.layers) == len(net.layers)
-        for a, b in zip(restored.layers, net.layers):
-            np.testing.assert_array_equal(a.weights, b.weights)
-            np.testing.assert_array_equal(a.bias, b.bias)
-            assert a.tags == b.tags
-        assert net_to_json(restored) == net_to_json(net)
-        x = rng.normal(size=2)
-        np.testing.assert_array_equal(forward_point(net, x), forward_point(restored, x))
-
-    def test_schema_field_names(self):
-        import json
-
-        net = FeedforwardNet((LayerSpec([[1.0]], [0.0], "tanh"),))
-        doc = json.loads(net_to_json(net))
-        assert list(doc) == ["layers"]
-        assert set(doc["layers"][0]) == {"weights", "bias", "activation"}
-        assert doc["layers"][0]["activation"] == "tanh"

@@ -8,7 +8,6 @@ from empkit import (
     PendulumState,
     build_pendulum_dynamics,
     forward_point,
-    mechanical_energy,
     pendulum_step,
     pendulum_step_smooth,
     wrap_angle,
@@ -28,6 +27,12 @@ def reference_trajectory(angle, velocity, torque, p, t_end):
 
     sol = solve_ivp(rhs, (0.0, t_end), [angle, velocity], rtol=1e-10, atol=1e-12)
     return sol.y[:, -1]
+
+
+def energy(s, p):
+    """Kinetic plus potential energy; potential is maximal upright (angle 0)."""
+    kinetic = 0.5 * p.mass * p.length**2 * s.angular_velocity**2
+    return kinetic + p.mass * p.gravity * p.length * np.cos(s.angle)
 
 
 class TestParams:
@@ -120,10 +125,10 @@ class TestStep:
     def test_unforced_energy_dissipates_from_hanging_perturbation(self):
         p = PendulumParams()
         s = PendulumState(np.pi - 0.5, 0.0)
-        energies = [mechanical_energy(s, p)]
+        energies = [energy(s, p)]
         for _ in range(1000):
             s = pendulum_step(s, 0.0, p)
-            energies.append(mechanical_energy(s, p))
+            energies.append(energy(s, p))
         # friction drains the oscillation toward the hanging minimum; after
         # 50 seconds most but not all of the surplus is gone
         surplus0 = energies[0] + p.mass * p.gravity * p.length
@@ -215,18 +220,3 @@ class TestDynamicsNet:
             np.testing.assert_allclose(
                 y[:2], pendulum_step_smooth(state, a, p), atol=1e-10
             )
-
-
-class TestEnergy:
-    def test_upright_maximal_hanging_minimal(self):
-        p = PendulumParams()
-        up = mechanical_energy(PendulumState(0.0, 0.0), p)
-        down = mechanical_energy(PendulumState(np.pi, 0.0), p)
-        assert up == pytest.approx(p.mass * p.gravity * p.length)
-        assert down == pytest.approx(-p.mass * p.gravity * p.length)
-
-    def test_kinetic_term(self):
-        p = PendulumParams()
-        moving = mechanical_energy(PendulumState(0.0, 2.0), p)
-        still = mechanical_energy(PendulumState(0.0, 0.0), p)
-        assert moving - still == pytest.approx(0.5 * p.mass * p.length**2 * 4.0)

@@ -8,10 +8,10 @@ package) and prints ``float.hex`` of a fixed set of outputs, one per line:
 * ``maximize_empowerment`` (value, policy mean and log-std, iterations,
   converged) on AC-5's 25-state diagonal (seed i), on a 5x5 subgrid of the
   default grid through ``empowerment_landscape`` (seed 0), and with 6
-  restarts at three sample counts;
+  restarts at three Monte Carlo draw counts;
 * ``mi_lower_bound``, ``mi_lower_bound_with_gradient``,
   ``marginal_transition`` and ``forward_moments`` at 40 seeded random
-  states, policies, sample counts and seeds;
+  states, policies, Monte Carlo draw counts and seeds;
 * ``select_action`` from (pi, 0) over torques -2, 0, 2;
 * ``oracle_empowerment`` at AC-5's settings on its 25-state diagonal: the
   sha256 of the channel handed to ``blahut_arimoto`` and the iteration
