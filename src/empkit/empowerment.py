@@ -85,6 +85,16 @@ class GaussianPolicy:
         return self.action_mean.size
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    """A finite int or float that is not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class OptimizerOptions:
     max_iter: int = 200
@@ -94,10 +104,15 @@ class OptimizerOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        for name in ("max_iter", "restarts", "mc_samples", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
         if self.max_iter < 1 or self.restarts < 1 or self.mc_samples < 1:
             raise ValueError("max_iter, restarts and mc_samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not (_is_real(self.grad_tol) and 0.0 < self.grad_tol < math.inf):
+            raise ValueError("grad_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -106,7 +121,8 @@ class EmpowermentEstimate:
 
     ``iterations`` counts the quasi-Newton iterations of the winning
     restart (one iteration may take several objective evaluations);
-    ``converged`` refers to the returned policy.  ``restarts_failed``
+    ``converged`` refers to the returned policy: its projected gradient's
+    infinity norm ``grad_norm`` is below ``grad_tol``.  ``restarts_failed``
     counts the restarts whose objective turned non-finite or that found no
     self-consistent iterate.
     """
@@ -115,6 +131,7 @@ class EmpowermentEstimate:
     policy: GaussianPolicy
     iterations: int
     converged: bool
+    grad_norm: float
     restarts_failed: int
     mc_samples: int
     seed: int
@@ -181,39 +198,44 @@ def _mi_core(model, state, mean, log_std, eps, want_grad):
     """
     d = model.state_dim
     lanes, n, _ = eps.shape
-    sigma = np.exp(log_std)[:, None, :]
+    sigma_eps = np.exp(log_std)[:, None, :] * eps
     var_a = np.exp(2.0 * log_std)
-    actions = mean[:, None, :] + sigma * eps
+    actions = mean[:, None, :] + sigma_eps
     mq, vq, noise, Y, trace = _marginal_pass(model, state, mean, var_a, actions)
     mq, vq = mq[:, None, :], vq[:, None, :]  # broadcast over the sampled rows
     mp = Y[:, 1:, :d]
     vp = np.exp(2.0 * Y[:, 1:, d:])
 
     dm = mp - mq
-    kl = 0.5 * (np.log(vq) - np.log(vp)) + (vp + dm**2) / (2.0 * vq) - 0.5
+    dm2 = dm * dm
+    vp_dm2 = vp + dm2
+    kl = 0.5 * (np.log(vq) - np.log(vp)) + vp_dm2 / (2.0 * vq) - 0.5
     value = kl.reshape(lanes, -1).sum(axis=1) / n
     # self-consistency of the surrogate: the marginal variance produced by
     # moment propagation should account for the spread of the sampled
     # conditional means; when it does not (saturated action means), the KL
     # terms inflate spuriously and the value is not trustworthy
-    consistent = np.all((dm**2).mean(axis=1) <= _CONSISTENCY_FACTOR * vq[:, 0], axis=1)
+    consistent = (dm2.sum(axis=1) / n <= _CONSISTENCY_FACTOR * vq[:, 0]).all(axis=1)
     if not want_grad:
         return value, None, None, consistent
 
     # d KL / d outputs: row 0 through the marginal (mq, vq), rows 1.. through
-    # the conditionals (mp, vp); log-std outputs enter as exp(2 y)
+    # the conditionals (mp, vp); log-std outputs enter as exp(2 y).  Negation
+    # is exact, so -(dm / vq) summed equals the sum of -dm / vq bit for bit.
+    dm_vq = dm / vq
+    half_vq = 0.5 / vq
     gY = np.empty_like(Y)
-    gY[:, 0, :d] = (-dm / vq).sum(axis=1) / n
-    gvq = (0.5 / vq - (vp + dm**2) / (2.0 * vq**2)).sum(axis=1) / n
+    gY[:, 0, :d] = dm_vq.sum(axis=1) / -n
+    gvq = (half_vq - vp_dm2 / (2.0 * vq**2)).sum(axis=1) / n
     gY[:, 0, d:] = gvq * 2.0 * noise
-    gY[:, 1:, :d] = dm / vq / n
-    gY[:, 1:, d:] = (0.5 / vq - 0.5 / vp) / n * 2.0 * vp
+    gY[:, 1:, :d] = dm_vq / n
+    gY[:, 1:, d:] = (half_vq - 0.5 / vp) / n * 2.0 * vp
     gX, gv0 = _fused_backprop(
         trace, gY, np.concatenate([gvq, np.zeros((lanes, d))], axis=1)
     )
     ga = gX[:, 1:, d:]
     gmean = ga.sum(axis=1) + gX[:, 0, d:]
-    glog = (ga * (sigma * eps)).sum(axis=1) + gv0[:, d:] * 2.0 * var_a
+    glog = (ga * sigma_eps).sum(axis=1) + gv0[:, d:] * 2.0 * var_a
     return value, gmean, glog, consistent
 
 
@@ -271,59 +293,82 @@ def mi_lower_bound_with_gradient(
     return _objective(model, state, policy, mc_samples, seed, True)
 
 
+def _inf_norm(v):
+    """max |v_i| over a list, NaN if an entry is NaN (as numpy's ``max``)."""
+    return math.nan if any(map(math.isnan, v)) else max(map(abs, v))
+
+
 def _ascend(x, opts):
     """Projected BFGS ascent of one restart from ``x`` = (mean, log_std).
 
-    A generator: it yields each trial point and is sent back that point's
-    ``(value, gradient, consistent)``, the gradient over (mean, log_std).
-    It returns ``(best, iterations)``.  ``best`` is the highest
-    self-consistent iterate along the path as ``(value, mean, log_std,
-    converged)``, where ``converged`` says whether its projected gradient
-    is below ``grad_tol``, or None when no iterate was consistent.  Raises
-    FloatingPointError on a non-finite objective.
+    A generator: it yields each trial point as a list and is sent back
+    that point's ``(value, gradient, consistent)``, the gradient over
+    (mean, log_std) as an array.  It returns ``(best, iterations)``.
+    ``best`` is the highest self-consistent iterate along the path as
+    ``(value, mean, log_std, grad_norm)``, ``grad_norm`` the infinity norm
+    of its projected gradient, or None when no iterate was consistent.
+    Raises FloatingPointError on a non-finite objective.
+
+    Points, the clamp, the projection and the steps are lists of Python
+    floats: on 2k entries a numpy call costs more than its arithmetic.
+    Inner products and the BFGS matrix products stay numpy calls, because
+    BLAS rounds a dot product differently from ``a0*b0 + a1*b1``; they use
+    ``ndarray.dot``, which gives the same bits as ``@`` at half the cost.
     """
-    k = x.size // 2
-    lo = np.concatenate([np.full(k, -np.inf), np.full(k, LOG_STD_MIN)])
-    hi = np.concatenate([np.full(k, np.inf), np.full(k, LOG_STD_MAX)])
+    k = len(x) // 2
+    lo = [-math.inf] * k + [LOG_STD_MIN] * k
+    hi = [math.inf] * k + [LOG_STD_MAX] * k
     eye = np.eye(2 * k)
 
     def evaluate(x):
         value, g, ok = yield x
         if not math.isfinite(value):
             raise FloatingPointError("non-finite objective")
+        gl = g.tolist()
         # components pushing against an active clamp are held at the clamp
-        held = ((x <= lo) & (g < 0)) | ((x >= hi) & (g > 0))
-        pg = np.where(held, 0.0, g)
-        return value, g, pg, held, ok
+        held = [
+            (xi <= l and gi < 0.0) or (xi >= h and gi > 0.0)
+            for xi, gi, l, h in zip(x, gl, lo, hi)
+        ]
+        pg = [0.0 if hd else gi for hd, gi in zip(held, gl)]
+        return value, g, pg, held, _inf_norm(pg), ok
 
-    def keep(best, value, x, pg, ok):
+    def keep(best, value, x, norm, ok):
         if ok and (best is None or value > best[0]):
-            done = bool(np.abs(pg).max() < opts.grad_tol)
-            return (value, x[:k].copy(), x[k:].copy(), done)
+            return (value, x[:k], x[k:], norm)
         return best
 
-    f, g, pg, held, ok = yield from evaluate(x)
-    best = keep(None, f, x, pg, ok)
+    f, g, pg, held, norm, ok = yield from evaluate(x)
+    best = keep(None, f, x, norm, ok)
     hess_inv = None  # None until a curvature pair is accepted
     iters = 0
-    while np.abs(pg).max() >= opts.grad_tol and iters < opts.max_iter:
+    while norm >= opts.grad_tol and iters < opts.max_iter:
         d = None
         if hess_inv is not None:
-            d = hess_inv @ pg
-            d[held | ((x <= lo) & (d < 0)) | ((x >= hi) & (d > 0))] = 0.0
-            if g @ d <= 0.0:
+            d = [
+                0.0 if hd or (xi <= l and di < 0.0) or (xi >= h and di > 0.0) else di
+                for hd, di, xi, l, h in zip(held, hess_inv.dot(pg).tolist(), x, lo, hi)
+            ]
+            if g.dot(np.array(d)) <= 0.0:
                 d = None
         if d is None:
             # steepest step of at most unit length: on the way to the upper
             # log-std clamp the objective is convex, no curvature pair is
             # accepted there, and a short step would crawl to the clamp
-            d = pg / max(1.0, math.sqrt(pg @ pg))
+            pga = np.array(pg)
+            scale = max(1.0, math.sqrt(pga.dot(pga)))
+            d = [p / scale for p in pg]
         t = 1.0
         for _ in range(_MAX_BACKTRACKS):
-            x_new = np.minimum(np.maximum(x + t * d, lo), hi)
-            gain = g @ (x_new - x)
+            x_new = [
+                min(max(xi + t * di, l), h) for xi, di, l, h in zip(x, d, lo, hi)
+            ]
+            s = np.array([a - b for a, b in zip(x_new, x)])
+            gain = g.dot(s)
             if gain > 0.0:
-                f_new, g_new, pg_new, held_new, ok = yield from evaluate(x_new)
+                f_new, g_new, pg_new, held_new, norm_new, ok = yield from evaluate(
+                    x_new
+                )
                 if f_new >= f + _ARMIJO * gain:
                     break
             t *= 0.5
@@ -333,15 +378,15 @@ def _ascend(x, opts):
             hess_inv = None  # retry from a steepest step
             continue
         iters += 1
-        s, y = x_new - x, g - g_new
-        sy = s @ y
-        if sy > _CURVATURE_TOL * math.sqrt(s @ s) * math.sqrt(y @ y):
+        y = g - g_new
+        sy, yy = s.dot(y), y.dot(y)
+        if sy > _CURVATURE_TOL * math.sqrt(s.dot(s)) * math.sqrt(yy):
             if hess_inv is None:
-                hess_inv = eye * (sy / (y @ y))
+                hess_inv = eye * (sy / yy)
             v = eye - s[:, None] * y / sy
-            hess_inv = v @ hess_inv @ v.T + s[:, None] * s / sy
-        x, f, g, pg, held = x_new, f_new, g_new, pg_new, held_new
-        best = keep(best, f, x, pg, ok)
+            hess_inv = v.dot(hess_inv).dot(v.T) + s[:, None] * s / sy
+        x, f, g, pg, held, norm = x_new, f_new, g_new, pg_new, held_new, norm_new
+        best = keep(best, f, x, norm, ok)
     return best, iters
 
 
@@ -361,10 +406,10 @@ def maximize_empowerment(
     depend on the others.  Each restart keeps its best self-consistent
     iterate; a restart whose objective turns non-finite, or that finds no
     self-consistent iterate, counts as failed.  ``iterations`` is the
-    quasi-Newton iteration count of the winning restart; ``converged``
-    means the projected gradient (log-std components pushing against an
-    active clamp are zeroed) at the returned policy is below ``grad_tol``
-    in infinity norm.
+    quasi-Newton iteration count of the winning restart; ``grad_norm`` is
+    the infinity norm of the projected gradient (log-std components
+    pushing against an active clamp are zeroed) at the returned policy,
+    and ``converged`` means it is below ``grad_tol``.
     """
     state = _as_vector(state, model.state_dim, "state")
     k = model.action_dim
@@ -382,8 +427,8 @@ def maximize_empowerment(
         # activations' linear range, and far-out means can inflate the
         # objective spuriously (the propagated marginal variance collapses
         # while the sampled conditional means still spread).
-        mean = 0.5 * draw[-1] if r > 0 else np.zeros(k)
-        ascents.append(_ascend(np.concatenate([mean, -np.ones(k)]), opts))
+        mean = (0.5 * draw[-1]).tolist() if r > 0 else [0.0] * k
+        ascents.append(_ascend(mean + [-1.0] * k, opts))
         trials.append(next(ascents[-1]))
     eps = np.stack(eps)
 
@@ -396,11 +441,9 @@ def maximize_empowerment(
         )
         grad = np.concatenate([gmean, glog], axis=1)
         running = []
-        for lane, r in enumerate(live):
+        for r, v, g, c in zip(live, value.tolist(), grad, ok.tolist()):
             try:
-                trials[r] = ascents[r].send(
-                    (float(value[lane]), grad[lane], bool(ok[lane]))
-                )
+                trials[r] = ascents[r].send((v, g, c))
                 running.append(r)
             except StopIteration as finished:
                 results[r] = finished.value
@@ -418,12 +461,13 @@ def maximize_empowerment(
 
     if best is None:
         raise RuntimeError(f"all {failures} restarts diverged")
-    value, mean, log_std, converged, iters = best
+    value, mean, log_std, grad_norm, iters = best
     return EmpowermentEstimate(
         value=max(value, 0.0),
         policy=GaussianPolicy(mean, log_std),
         iterations=iters,
-        converged=converged,
+        converged=bool(grad_norm < opts.grad_tol),
+        grad_norm=grad_norm,
         restarts_failed=failures,
         mc_samples=opts.mc_samples,
         seed=opts.seed,

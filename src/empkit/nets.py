@@ -81,6 +81,7 @@ class LayerSpec:
     activation: object = "identity"
     tags: tuple = field(init=False, repr=False, compare=False)
     _runs: tuple = field(init=False, repr=False, compare=False)
+    _linear: bool = field(init=False, repr=False, compare=False)
     _weights_sq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -115,6 +116,7 @@ class LayerSpec:
         object.__setattr__(self, "bias", b)
         object.__setattr__(self, "tags", tags)
         object.__setattr__(self, "_runs", tuple(runs))
+        object.__setattr__(self, "_linear", set(tags) == {"identity"})
         object.__setattr__(self, "_weights_sq", w_sq)
 
     @property
@@ -138,10 +140,17 @@ class LayerSpec:
         """(f, f', f'') elementwise, one call per run of equal tags."""
         if len(self._runs) == 1:
             return _ACT[self.tags[0]][1](z)
-        out = np.empty((3,) + z.shape)
+        f, df, d2f = np.empty((3,) + z.shape)
         for tag, units in self._runs:
-            out[..., units] = _ACT[tag][1](z[..., units])
-        return out[0], out[1], out[2]
+            if tag == "identity":
+                f[..., units] = z[..., units]
+                df[..., units] = 1.0
+                d2f[..., units] = 0.0
+            else:
+                f[..., units], df[..., units], d2f[..., units] = _ACT[tag][1](
+                    z[..., units]
+                )
+        return f, df, d2f
 
 
 @dataclass(frozen=True)
@@ -288,11 +297,16 @@ def _fused_trace(net, H, v):
     for layer in net.layers:
         Z = H @ layer.weights.T + layer.bias
         va = (v[:, None, :] @ layer._weights_sq.T)[:, 0]
-        H, dF, d2F = layer.act_all(Z)
-        raw = dF[:, 0] ** 2 * va
+        if layer._linear:
+            # f' = 1 and f'' = 0: skipping their factors here and in the
+            # reverse pass keeps every finite value, up to the sign of a zero
+            H, dF, d2f, raw = Z, None, None, va
+        else:
+            H, dF, d2F = layer.act_all(Z)
+            d2f, raw = d2F[:, 0], dF[:, 0] ** 2 * va
         mask = raw > VAR_FLOOR
         v = np.where(mask, raw, VAR_FLOOR)
-        trace.append((layer, dF, d2F[:, 0], va, mask))
+        trace.append((layer, dF, d2f, va, mask))
     return H, v, trace
 
 
@@ -304,8 +318,10 @@ def _fused_backprop(trace, G, gv):
     """
     for layer, dF, d2f, va, mask in reversed(trace):
         gv = np.where(mask, gv, 0.0)
-        GZ = dF * G
-        GZ[:, 0] += 2.0 * dF[:, 0] * d2f * va * gv
-        gv = ((dF[:, 0] ** 2 * gv)[:, None, :] @ layer._weights_sq)[:, 0]
-        G = GZ @ layer.weights
+        if dF is not None:
+            G = dF * G
+            G[:, 0] += 2.0 * dF[:, 0] * d2f * va * gv
+            gv = dF[:, 0] ** 2 * gv
+        gv = (gv[:, None, :] @ layer._weights_sq)[:, 0]
+        G = G @ layer.weights
     return G, gv

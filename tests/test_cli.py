@@ -1,8 +1,11 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from empkit import OptimizerOptions, PendulumParams
 from empkit.cli import main
@@ -58,12 +61,73 @@ class TestConfig:
         cfg = write_config(tmp_path, step_size=0.05)
         assert main(["landscape", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("angle_count", 3.5),
+            ("velocity_count", "3"),
+            ("oracle_actions", 16.0),
+            ("oracle_bins", True),
+            ("oracle_max_iter", None),
+            ("oracle_bins", 0),
+            ("max_iter", 2.5),
+            ("grad_tol", float("nan")),
+            ("mass", "1.0"),
+            ("dt", float("inf")),
+            ("noise_std", 0.1),
+            ("noise_std", [0.1, "x"]),
+            ("out_dir", 3),
+        ],
+    )
+    def test_bad_value_rejected_at_load(self, tmp_path, field, value):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({field: value}))
+        with pytest.raises(ValueError, match=field):
+            load_config(path)
+
+    def test_fractional_grid_count_is_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, angle_count=3.5)
+        assert main(["landscape", "--config", str(cfg)]) == 2
+
     def test_overrides_win(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text('{"seed": 1}')
         cfg = load_config(path, {"seed": 5, "out_dir": None})
         assert cfg.seed == 5
         assert cfg.out_dir == "out"
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-5, 100)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=4)
+)
+CONFIG_KEYS = [f.name for f in dataclasses.fields(RunConfig)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    data=st.dictionaries(
+        st.sampled_from(CONFIG_KEYS) | st.text(max_size=6),
+        JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3),
+        max_size=4,
+    )
+)
+def test_any_flat_json_object_loads_or_raises_value_error(tmp_path_factory, data):
+    # a config that loads is usable: its grid, pendulum and optimizer
+    # settings build without error
+    path = tmp_path_factory.getbasetemp() / "fuzz_config.json"
+    path.write_text(json.dumps(data))
+    try:
+        cfg = load_config(path)
+    except ValueError:
+        return
+    assert len(cfg.angles()) == cfg.angle_count
+    assert len(cfg.velocities()) == cfg.velocity_count
+    cfg.pendulum_params()
+    cfg.optimizer_options()
 
 
 class TestLandscapeCommand:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,14 @@ from empkit import (
     select_action,
 )
 import empkit.empowerment
-from empkit.empowerment import LOG_STD_MAX, LOG_STD_MIN, _mi_core
+from empkit.empowerment import (
+    _ARMIJO,
+    _CURVATURE_TOL,
+    _MAX_BACKTRACKS,
+    LOG_STD_MAX,
+    LOG_STD_MIN,
+    _mi_core,
+)
 from empkit.nets import VAR_FLOOR
 
 
@@ -73,6 +82,62 @@ def bad_states(draw, dim=2):
         st.sampled_from([np.nan, np.inf, -np.inf])
     )
     return state
+
+
+class TestOptimizerOptions:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("grad_tol", np.nan),
+            ("grad_tol", np.inf),
+            ("grad_tol", 0.0),
+            ("grad_tol", -1e-4),
+            ("grad_tol", "1e-4"),
+            ("grad_tol", True),
+            ("max_iter", 2.5),
+            ("max_iter", True),
+            ("max_iter", 0),
+            ("restarts", 2.5),
+            ("restarts", 0),
+            ("mc_samples", True),
+            ("mc_samples", 8.0),
+            ("seed", 1.5),
+            ("seed", False),
+            ("seed", "0"),
+            ("seed", -1),
+        ],
+    )
+    def test_bad_value_raises_value_error(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            OptimizerOptions(**{field: value})
+
+    def test_numeric_types_accepted(self):
+        opts = OptimizerOptions(max_iter=1, grad_tol=1, restarts=1, mc_samples=1)
+        assert opts.grad_tol == 1
+        assert OptimizerOptions(grad_tol=np.float64(1e-3)).grad_tol == 1e-3
+
+
+def winning_projected_grad_norm(model, state, est, opts):
+    """Infinity norm of the projected gradient at the returned policy.
+
+    The winning restart r is the one whose eps draw (seed + r) reproduces
+    the returned value exactly at the returned policy; log-std components
+    pushing against an active clamp are zeroed.
+    """
+    norms = []
+    for r in range(opts.restarts):
+        value, gmean, glog = mi_lower_bound_with_gradient(
+            model, state, est.policy, est.mc_samples, opts.seed + r
+        )
+        if value == est.value:
+            log_std = est.policy.action_log_std
+            held = ((log_std <= LOG_STD_MIN) & (glog < 0)) | (
+                (log_std >= LOG_STD_MAX) & (glog > 0)
+            )
+            projected = np.concatenate([gmean, np.where(held, 0.0, glog)])
+            norms.append(np.max(np.abs(projected)))
+    assert len(norms) == 1
+    return norms[0]
 
 
 class TestGaussianPolicy:
@@ -406,24 +471,16 @@ class TestMaximizeEmpowerment:
         opts = OptimizerOptions(seed=3)
         est = maximize_empowerment(model, state, opts)
         assert est.converged and est.value > 0.0
-        # the winning restart r is the one whose eps draw (seed + r)
-        # reproduces the returned value exactly at the returned policy
-        winners = [
-            opts.seed + r
-            for r in range(opts.restarts)
-            if mi_lower_bound(model, state, est.policy, est.mc_samples, opts.seed + r)
-            == est.value
-        ]
-        assert len(winners) == 1
-        _, gmean, glog = mi_lower_bound_with_gradient(
-            model, state, est.policy, est.mc_samples, winners[0]
-        )
-        log_std = est.policy.action_log_std
-        held = ((log_std <= LOG_STD_MIN) & (glog < 0)) | (
-            (log_std >= LOG_STD_MAX) & (glog > 0)
-        )
-        projected = np.concatenate([gmean, np.where(held, 0.0, glog)])
-        assert np.max(np.abs(projected)) < opts.grad_tol
+        assert winning_projected_grad_norm(model, state, est, opts) < opts.grad_tol
+
+    @pytest.mark.parametrize("max_iter", [1, 200])
+    @pytest.mark.parametrize("state", [[0.0, 0.0], [np.pi, 0.0], [-2.0, 5.0]])
+    def test_grad_norm_is_projected_gradient_at_returned_policy(self, state, max_iter):
+        opts = OptimizerOptions(max_iter=max_iter, seed=11)
+        est = maximize_empowerment(PENDULUM, state, opts)
+        assert type(est.grad_norm) is float
+        assert est.converged == (est.grad_norm < opts.grad_tol)
+        assert est.grad_norm == winning_projected_grad_norm(PENDULUM, state, est, opts)
 
     def test_all_restarts_non_finite_raises(self):
         # log-std output of 1e300: the noise variance overflows to inf and
@@ -510,6 +567,159 @@ class TestLanes:
             )
             for got, want in zip(batched, alone):
                 np.testing.assert_array_equal(got[lane], want[0])
+
+
+def reference_ascend(x, opts):
+    """The projected BFGS ascent of one restart with numpy-array bookkeeping:
+    the reference that ``maximize_empowerment`` must equal bit for bit.
+
+    A generator like the estimator's: it yields trial points, is sent
+    ``(value, gradient, consistent)`` and returns ``(best, iterations)``
+    with ``best = (value, mean, log_std, converged)`` or None.
+    """
+    k = x.size // 2
+    lo = np.concatenate([np.full(k, -np.inf), np.full(k, LOG_STD_MIN)])
+    hi = np.concatenate([np.full(k, np.inf), np.full(k, LOG_STD_MAX)])
+    eye = np.eye(2 * k)
+
+    def evaluate(x):
+        value, g, ok = yield x
+        if not math.isfinite(value):
+            raise FloatingPointError("non-finite objective")
+        held = ((x <= lo) & (g < 0)) | ((x >= hi) & (g > 0))
+        pg = np.where(held, 0.0, g)
+        return value, g, pg, held, ok
+
+    def keep(best, value, x, pg, ok):
+        if ok and (best is None or value > best[0]):
+            done = bool(np.abs(pg).max() < opts.grad_tol)
+            return (value, x[:k].copy(), x[k:].copy(), done)
+        return best
+
+    f, g, pg, held, ok = yield from evaluate(x)
+    best = keep(None, f, x, pg, ok)
+    hess_inv = None
+    iters = 0
+    while np.abs(pg).max() >= opts.grad_tol and iters < opts.max_iter:
+        d = None
+        if hess_inv is not None:
+            d = hess_inv @ pg
+            d[held | ((x <= lo) & (d < 0)) | ((x >= hi) & (d > 0))] = 0.0
+            if g @ d <= 0.0:
+                d = None
+        if d is None:
+            d = pg / max(1.0, math.sqrt(pg @ pg))
+        t = 1.0
+        for _ in range(_MAX_BACKTRACKS):
+            x_new = np.minimum(np.maximum(x + t * d, lo), hi)
+            gain = g @ (x_new - x)
+            if gain > 0.0:
+                f_new, g_new, pg_new, held_new, ok = yield from evaluate(x_new)
+                if f_new >= f + _ARMIJO * gain:
+                    break
+            t *= 0.5
+        else:
+            if hess_inv is None:
+                break
+            hess_inv = None
+            continue
+        iters += 1
+        s, y = x_new - x, g - g_new
+        sy = s @ y
+        if sy > _CURVATURE_TOL * math.sqrt(s @ s) * math.sqrt(y @ y):
+            if hess_inv is None:
+                hess_inv = eye * (sy / (y @ y))
+            v = eye - s[:, None] * y / sy
+            hess_inv = v @ hess_inv @ v.T + s[:, None] * s / sy
+        x, f, g, pg, held = x_new, f_new, g_new, pg_new, held_new
+        best = keep(best, f, x, pg, ok)
+    return best, iters
+
+
+def reference_maximize(model, state, opts):
+    """``maximize_empowerment`` with the restarts run one after another, each
+    through a single-lane ``_mi_core``: the best restart's ``(value, mean,
+    log_std, converged, iterations)`` and the failed-restart count."""
+    state = np.asarray(state, dtype=float)
+    k = model.action_dim
+    best, failures = None, 0
+    for r in range(opts.restarts):
+        draw = empkit.empowerment._draw_eps(opts.seed + r, opts.mc_samples + 1, k)
+        mean = 0.5 * draw[-1] if r > 0 else np.zeros(k)
+        ascent = reference_ascend(np.concatenate([mean, -np.ones(k)]), opts)
+        try:
+            x = next(ascent)
+            while True:
+                X = x[None]
+                value, gmean, glog, ok = _mi_core(
+                    model, state, X[:, :k], X[:, k:], draw[None, :-1], True
+                )
+                grad = np.concatenate([gmean, glog], axis=1)[0]
+                x = ascent.send((float(value[0]), grad, bool(ok[0])))
+        except StopIteration as finished:
+            result, iters = finished.value
+        except FloatingPointError:
+            result = None
+        if result is None:
+            failures += 1
+        elif best is None or result[0] > best[0]:
+            best = (*result, iters)
+    return best, failures
+
+
+def assert_equals_reference(model, state, opts):
+    est = maximize_empowerment(model, state, opts)
+    (value, mean, log_std, converged, iters), failures = reference_maximize(
+        model, state, opts
+    )
+    assert est.value == max(value, 0.0)
+    np.testing.assert_array_equal(est.policy.action_mean, mean)
+    np.testing.assert_array_equal(est.policy.action_log_std, log_std)
+    assert (est.iterations, est.converged, est.restarts_failed) == (
+        iters,
+        converged,
+        failures,
+    )
+    return est
+
+
+# AC-5's diagonal from (-pi, -8) to (0, 0); state i runs with seed i
+AC5_STATES = [[-np.pi * (1 - u), -8.0 * (1 - u)] for u in np.linspace(0.0, 1.0, 25)]
+
+
+class TestReferenceAscent:
+    """The ascent keeps its bookkeeping on Python floats and runs the
+    restarts in lockstep; the numpy-array ascent run one restart at a time
+    must give the same bits."""
+
+    @pytest.mark.parametrize("i", range(len(AC5_STATES)))
+    def test_ac5_state(self, i):
+        assert_equals_reference(PENDULUM, AC5_STATES[i], OptimizerOptions(seed=i))
+
+    def test_two_dimensional_action(self):
+        opts = OptimizerOptions(restarts=3, max_iter=60, seed=5)
+        assert_equals_reference(mixed_tag_model(), [0.3, -0.4], opts)
+
+    def test_log_std_clamp_saturated(self):
+        est = assert_equals_reference(
+            shift_model(0.5), [0.0], OptimizerOptions(max_iter=400, seed=2)
+        )
+        assert est.policy.action_log_std[0] == LOG_STD_MAX
+
+    def test_poisoned_restart(self, monkeypatch):
+        opts = OptimizerOptions(seed=7)
+        draw_eps = empkit.empowerment._draw_eps
+
+        def poisoned(seed, mc_samples, action_dim):
+            draw = draw_eps(seed, mc_samples, action_dim)
+            if seed == opts.seed + 2:
+                draw[-1] = np.nan
+            return draw
+
+        monkeypatch.setattr(empkit.empowerment, "_draw_eps", poisoned)
+        with np.errstate(invalid="ignore"):
+            est = assert_equals_reference(PENDULUM, [1.0, -2.0], opts)
+        assert est.restarts_failed == 1
 
 
 class TestSelectAction:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -248,3 +250,28 @@ class TestForwardMoments:
             ys = forward_point(net, draws)
             np.testing.assert_allclose(ys.mean(axis=0), out.mean, rtol=0.01, atol=1e-2)
             np.testing.assert_allclose(ys.var(axis=0), out.variance, rtol=0.10)
+
+
+class TestFusedPasses:
+    def test_identity_layer_skip_equals_its_full_activation(self):
+        # an all-identity layer skips its f' = 1 and f'' = 0 factors in both
+        # passes; running them anyway must give the same bits
+        from empkit import PendulumParams, build_pendulum_dynamics
+
+        net = build_pendulum_dynamics(PendulumParams()).net
+        assert [layer._linear for layer in net.layers] == [False, False, True]
+        full = dataclasses.replace(net.layers[-1])
+        object.__setattr__(full, "_linear", False)
+        full_net = FeedforwardNet(net.layers[:-1] + (full,))
+        rng = np.random.default_rng(12)
+        H = rng.normal(size=(3, 9, net.in_dim))
+        v = rng.uniform(0.0, 2.0, (3, net.in_dim))
+        G = rng.normal(size=(3, 9, net.out_dim))
+        gv = rng.normal(size=(3, net.out_dim))
+
+        def passes(net):
+            Y, vY, trace = empkit.nets._fused_trace(net, H, v)
+            return (Y, vY, *empkit.nets._fused_backprop(trace, G.copy(), gv))
+
+        for got, want in zip(passes(net), passes(full_net)):
+            np.testing.assert_array_equal(got, want)
