@@ -12,7 +12,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .nets import DynamicsModel, _as_rows, _as_vector
 
@@ -114,6 +113,19 @@ class CapacityResult:
     lower_bounds: tuple = ()
 
 
+def _check_count(name, count):
+    if not isinstance(count, numbers.Integral):
+        raise ValueError(f"{name} must be an integer")
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
+def _check_ba_args(tol, max_iter):
+    if not (isinstance(tol, numbers.Real) and tol > 0):
+        raise ValueError("tol must be a positive number")
+    _check_count("max_iter", max_iter)
+
+
 def blahut_arimoto(
     ch: DiscreteChannel, tol: float = 1e-9, max_iter: int = 10_000
 ) -> CapacityResult:
@@ -133,10 +145,7 @@ def blahut_arimoto(
     oracle's 64 x 41^2 channel, 64 x 41 factors instead of 64 x 1681.
     Their products go into buffers allocated once per call.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    _check_ba_args(tol, max_iter)
     left, right = ch.left, ch.right
     neg_entropy = _plogp(left) * right.sum(axis=1) + left.sum(axis=1) * _plogp(right)
     pl = np.empty_like(left)
@@ -146,9 +155,6 @@ def blahut_arimoto(
 
     p = np.full(ch.n_actions, 1.0 / ch.n_actions)
     lower_bounds = []
-    converged = False
-    it = 0
-    capacity = 0.0
     for it in range(1, max_iter + 1):
         np.multiply(p[:, None], left, out=pl)
         np.matmul(pl.T, right, out=m)
@@ -161,17 +167,18 @@ def blahut_arimoto(
         lower = float(p @ D)
         upper = float(D.max())
         lower_bounds.append(lower)
-        capacity = max(lower, 0.0)
         gap = upper - lower
-        if gap < tol:
-            converged = True
+        converged = bool(gap < tol)
+        # the last iteration stops without an update, so that p is the
+        # input distribution whose bounds are reported
+        if converged or it == max_iter:
             break
         w = p * np.exp(D - upper)
         p = w / w.sum()
     p = p / p.sum()
     p.setflags(write=False)
     return CapacityResult(
-        capacity=capacity,
+        capacity=max(lower, 0.0),
         input_distribution=p,
         iterations=it,
         converged=converged,
@@ -200,6 +207,9 @@ def discretize_dynamics(
             raise ValueError("bin edges must be strictly increasing with >= 2 entries")
     if len(edges) != model.state_dim:
         raise ValueError("need one edge array per state dimension")
+    # imported here, not at module top: scipy.special is most of the import
+    # time and memory of scipy, and only this binning step needs it
+    from scipy.special import ndtr
 
     conds = model.conditional(state, actions)
     means, sds = conds.mean, np.sqrt(conds.variance)
@@ -236,15 +246,13 @@ def oracle_empowerment(
     if model.action_dim != 1:
         raise ValueError("oracle_empowerment supports scalar actions only")
     state = _as_vector(state, model.state_dim, "state")
-    for name, count in (("n_actions", n_actions), ("bins", bins)):
-        if not isinstance(count, numbers.Integral):
-            raise ValueError(f"{name} must be an integer")
-        if count < 1:
-            raise ValueError(f"{name} must be >= 1")
+    _check_count("n_actions", n_actions)
+    _check_count("bins", bins)
     if not np.isfinite(action_range):
         raise ValueError("action_range must be finite")
     if not 0 < pad_sigma < np.inf:
         raise ValueError("pad_sigma must be positive and finite")
+    _check_ba_args(tol, max_iter)
     acts = np.linspace(-action_range, action_range, n_actions)[:, None]
     conds = model.conditional(state, acts)
     means, sds = conds.mean, np.sqrt(conds.variance)

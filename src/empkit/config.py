@@ -70,20 +70,16 @@ class RunConfig:
                 raise ValueError(f"{f.name} must be a finite number")
             if f.type == "str" and not isinstance(value, str):
                 raise ValueError(f"{f.name} must be a string")
-        if not (
-            isinstance(self.noise_std, (list, tuple)) and all(map(_is_real, self.noise_std))
-        ):
-            raise ValueError("noise_std must be a list of finite numbers")
         if self.angle_count < 2 or self.velocity_count < 2:
             raise ValueError("grid counts must be >= 2 per dimension")
         if min(self.oracle_actions, self.oracle_bins, self.oracle_max_iter) < 1:
             raise ValueError("oracle_actions, oracle_bins and oracle_max_iter must be >= 1")
         if self.oracle_tol <= 0:
             raise ValueError("oracle_tol must be positive")
-        object.__setattr__(self, "noise_std", tuple(self.noise_std))
-        # the pendulum and optimizer settings check their own ranges
+        # the pendulum and optimizer settings check their own values
         self.pendulum_params()
         self.optimizer_options()
+        object.__setattr__(self, "noise_std", tuple(self.noise_std))
 
     def pendulum_params(self) -> PendulumParams:
         return _from_fields(PendulumParams, self)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .empowerment import _is_real
 from .nets import DynamicsModel, FeedforwardNet, LayerSpec
 
 __all__ = [
@@ -47,12 +48,17 @@ class PendulumParams:
 
     def __post_init__(self):
         for name in ("mass", "length", "gravity", "friction", "dt", "max_torque"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        ns = tuple(float(s) for s in self.noise_std)
-        if len(ns) != 2 or any(s <= 0 for s in ns):
-            raise ValueError("noise_std must be two positive values")
-        object.__setattr__(self, "noise_std", ns)
+            value = getattr(self, name)
+            if not (_is_real(value) and value > 0):
+                raise ValueError(f"{name} must be a positive finite number")
+        ns = self.noise_std
+        if not (
+            isinstance(ns, (tuple, list, np.ndarray))
+            and len(ns) == 2
+            and all(_is_real(s) and s > 0 for s in ns)
+        ):
+            raise ValueError("noise_std must be two positive finite numbers")
+        object.__setattr__(self, "noise_std", tuple(float(s) for s in ns))
 
 
 def wrap_angle(angle: float) -> float:

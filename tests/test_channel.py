@@ -378,6 +378,20 @@ class TestBlahutArimoto:
             blahut_arimoto(ch, tol=0.0)
         with pytest.raises(ValueError):
             blahut_arimoto(ch, max_iter=0)
+        with pytest.raises(ValueError, match="tol must be a positive number"):
+            blahut_arimoto(ch, tol=np.nan)
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            blahut_arimoto(ch, max_iter=2.5)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_cut_run_reports_bounds_of_its_input_distribution(self, max_iter):
+        P = np.random.default_rng(12).dirichlet(np.ones(5), size=4)
+        res = blahut_arimoto(DiscreteChannel(P), tol=1e-12, max_iter=max_iter)
+        assert not res.converged and res.iterations == max_iter
+        p = res.input_distribution
+        D = np.einsum("as,as->a", P, np.log(P / (p @ P)))
+        assert float(p @ D) == pytest.approx(res.capacity, abs=1e-12)
+        assert float(D.max() - p @ D) == pytest.approx(res.gap, abs=1e-12)
 
     def test_result_fields(self):
         res = blahut_arimoto(DiscreteChannel(np.eye(2)))
@@ -624,6 +638,10 @@ class TestOracleEmpowerment:
             ([0.0, 0.0], {"pad_sigma": -1.0}, "pad_sigma must be positive"),
             ([0.0, 0.0], {"pad_sigma": np.inf}, "pad_sigma must be positive"),
             ([0.0, 0.0], {"action_range": np.nan}, "action_range must be finite"),
+            ([0.0, 0.0], {"tol": np.nan}, "tol must be a positive number"),
+            ([0.0, 0.0], {"tol": 0.0}, "tol must be a positive number"),
+            ([0.0, 0.0], {"max_iter": 2.5}, "max_iter must be an integer"),
+            ([0.0, 0.0], {"max_iter": 0}, "max_iter must be >= 1"),
         ],
         ids=[
             "state_length",
@@ -636,6 +654,10 @@ class TestOracleEmpowerment:
             "pad_sigma_negative",
             "pad_sigma_inf",
             "action_range_nan",
+            "tol_nan",
+            "tol_zero",
+            "max_iter_fraction",
+            "max_iter_zero",
         ],
     )
     def test_bad_input_rejected_before_any_conditional(

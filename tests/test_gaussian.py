@@ -64,6 +64,50 @@ class TestConstruction:
         assert g.variance[0] == 0.0
 
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_shapes = st.one_of(
+    st.tuples(st.integers(1, 4)), st.tuples(st.integers(1, 3), st.integers(1, 4))
+)
+
+
+class TestConstructionProperties:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data(), shape=_shapes)
+    def test_finite_mean_and_positive_variance_construct(self, data, shape):
+        mean = data.draw(arrays(float, shape, elements=_finite))
+        variance = data.draw(arrays(float, shape, elements=_positive))
+        g = DiagonalGaussian(mean, variance)
+        np.testing.assert_array_equal(g.mean, mean)
+        np.testing.assert_array_equal(g.variance, variance)
+        assert g.dim == shape[-1]
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        shape=_shapes,
+        bad=st.sampled_from(
+            ["mean_nan", "mean_inf", "mean_-inf", "var_nan", "var_inf",
+             "var_negative", "shape_mismatch"]
+        ),
+    )
+    def test_non_finite_negative_or_mismatched_rejected(self, data, shape, bad):
+        mean = data.draw(arrays(float, shape, elements=_finite))
+        variance = data.draw(arrays(float, shape, elements=_positive))
+        flat = data.draw(st.integers(0, mean.size - 1))
+        where = np.unravel_index(flat, shape)
+        if bad.startswith("mean_"):
+            mean[where] = float(bad[5:])
+        elif bad == "var_negative":
+            variance[where] = -data.draw(_positive | st.just(np.inf))
+        elif bad.startswith("var_"):
+            variance[where] = float(bad[4:])
+        else:
+            variance = np.concatenate([variance, variance[..., :1]], axis=-1)
+        with pytest.raises(ValueError):
+            DiagonalGaussian(mean, variance)
+
+
 class TestKL:
     def test_identity_is_exactly_zero(self):
         g = DiagonalGaussian([0.0, 2.0], [1.0, 3.0])

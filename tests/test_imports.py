@@ -1,0 +1,57 @@
+"""scipy stays out of the estimator's path.
+
+``import empkit`` and the ``landscape`` and ``rollout`` commands need numpy
+only; scipy.special is imported by the oracle's binning step on first use.
+The check runs in a fresh interpreter, because the test process itself has
+long since imported scipy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """\
+import json, sys
+out = sys.argv[1]
+import empkit, empkit.cli
+from empkit import PendulumParams, build_pendulum_dynamics, oracle_empowerment
+model = build_pendulum_dynamics(PendulumParams())
+cfg = out + "/config.json"
+with open(cfg, "w") as fh:
+    json.dump({"angle_count": 3, "velocity_count": 3, "out_dir": out}, fh)
+assert empkit.cli.main(["landscape", "--config", cfg]) == 0
+assert empkit.cli.main(
+    ["rollout", "--config", cfg, "--start", "3.0,0.0", "--steps", "2"]
+) == 0
+before = sorted(m for m in sys.modules if m.startswith("scipy"))
+res = oracle_empowerment(model, [0.0, 0.0])
+print(json.dumps({
+    "before": before,
+    "after": "scipy.special" in sys.modules,
+    "converged": res.converged,
+}))
+"""
+
+
+def test_estimator_commands_load_no_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["before"] == []
+    assert result["after"] and result["converged"]
+    assert (tmp_path / "landscape.csv").exists()
+    assert (tmp_path / "rollout.csv").exists()

@@ -51,6 +51,33 @@ class TestParams:
         with pytest.raises(ValueError):
             PendulumParams(noise_std=(0.01, 0.0))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"dt": np.nan},
+            {"mass": np.inf},
+            {"noise_std": (np.nan, 0.05)},
+            {"mass": "1.0"},
+            {"gravity": True},
+            {"noise_std": (0.01, np.inf)},
+            {"noise_std": (0.01,)},
+            {"noise_std": 0.01},
+        ],
+        ids=[
+            "dt_nan",
+            "mass_inf",
+            "noise_nan",
+            "mass_str",
+            "gravity_bool",
+            "noise_inf",
+            "noise_short",
+            "noise_scalar",
+        ],
+    )
+    def test_non_finite_or_non_numeric_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            PendulumParams(**kwargs)
+
 
 class TestState:
     def test_angle_wrapped_into_range(self):
