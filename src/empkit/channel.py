@@ -9,7 +9,7 @@ in nats.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,68 +36,66 @@ def _plogp(x):
     return np.einsum("aj,aj->a", x, np.log(np.where(x > 0, x, 1.0)))
 
 
-def _checked_transition(t):
-    """``t``, made read-only, if it is a row-stochastic matrix; else ValueError."""
-    if t.ndim != 2 or t.shape[0] < 1 or t.shape[1] < 1:
-        raise ValueError("transition must be a non-empty matrix")
-    if np.any(t < 0) or not np.all(np.isfinite(t)):
-        raise ValueError("transition entries must be finite and >= 0")
-    rows = t.sum(axis=1)
-    if np.any(np.abs(rows - 1.0) > _ROW_SUM_TOL):
-        raise ValueError("every row must sum to 1 within 1e-9")
-    t.setflags(write=False)
-    return t
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DiscreteChannel:
     """Row-stochastic matrix p(x'|a): rows = actions, columns = next-state bins.
 
-    ``left`` and ``right`` factor every row as a Kronecker product,
-    ``transition[a] == kron(left[a], right[a])``.  A matrix given directly
-    is its own ``right``, with a one-column ``left`` of ones;
-    ``from_factors`` builds the matrix from a factor pair.
+    The channel holds a factor pair, ``left`` and ``right``, with
+    ``transition[a] == kron(left[a], right[a])``; ``transition`` is built
+    from them, read-only, on each access.  A matrix given directly is its
+    own ``right``, with a one-column ``left`` of ones; ``from_factors``
+    takes a factor pair.
     """
 
-    transition: np.ndarray
-    left: np.ndarray = field(init=False, repr=False, compare=False)
-    right: np.ndarray = field(init=False, repr=False, compare=False)
+    left: np.ndarray
+    right: np.ndarray
 
-    def __post_init__(self):
-        # a copy, so that freezing it leaves the caller's array writable
-        t = _checked_transition(np.array(self.transition, dtype=float))
-        object.__setattr__(self, "transition", t)
-        self._set_factors(np.ones((t.shape[0], 1)), t)
+    def __init__(self, transition):
+        self._set_factors(np.ones(np.shape(transition)[:1] + (1,)), transition)
 
     @classmethod
     def from_factors(cls, left, right) -> DiscreteChannel:
         """The channel whose row a is ``kron(left[a], right[a])``."""
-        left = np.array(left, dtype=float)
-        right = np.array(right, dtype=float)
-        if left.ndim != 2 or right.ndim != 2 or len(left) != len(right):
-            raise ValueError("factors must be matrices with one row per action")
-        if (left < 0).any() or (right < 0).any():
-            raise ValueError("factor entries must be >= 0")
-        # the product is already a fresh array: set it without the copy
-        # that __init__ makes
         ch = object.__new__(cls)
-        object.__setattr__(ch, "transition", _checked_transition(_row_kron(left, right)))
         ch._set_factors(left, right)
         return ch
 
     def _set_factors(self, left, right):
+        # copies, so that freezing them leaves the caller's arrays writable
+        left = np.array(left, dtype=float)
+        right = np.array(right, dtype=float)
+        if (
+            left.ndim != 2
+            or right.ndim != 2
+            or len(left) != len(right)
+            or 0 in left.shape + right.shape
+        ):
+            raise ValueError("factors must be non-empty matrices with one row per action")
+        if (left < 0).any() or (right < 0).any():
+            raise ValueError("factor entries must be >= 0")
+        # the product's row sums without the product: NaN or inf where the
+        # product holds a NaN, an inf or an overflow, so such rows fail too
+        rows = np.einsum("ai,aj->a", left, right)
+        if not (np.abs(rows - 1.0) <= _ROW_SUM_TOL).all():
+            raise ValueError("every row must sum to 1 within 1e-9 over finite entries")
         left.setflags(write=False)
         right.setflags(write=False)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
     @property
+    def transition(self) -> np.ndarray:
+        t = _row_kron(self.left, self.right)
+        t.setflags(write=False)
+        return t
+
+    @property
     def n_actions(self) -> int:
-        return self.transition.shape[0]
+        return self.left.shape[0]
 
     @property
     def n_states(self) -> int:
-        return self.transition.shape[1]
+        return self.left.shape[1] * self.right.shape[1]
 
 
 @dataclass(frozen=True)
@@ -113,16 +111,23 @@ class CapacityResult:
     lower_bounds: tuple = ()
 
 
+# bool is excluded by name: numbers.Integral and numbers.Real admit it
 def _check_count(name, count):
-    if not isinstance(count, numbers.Integral):
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
         raise ValueError(f"{name} must be an integer")
     if count < 1:
         raise ValueError(f"{name} must be >= 1")
 
 
+def _check_positive(name, value):
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Real) and 0 < value < np.inf
+    ):
+        raise ValueError(f"{name} must be a positive finite number")
+
+
 def _check_ba_args(tol, max_iter):
-    if not (isinstance(tol, numbers.Real) and tol > 0):
-        raise ValueError("tol must be a positive number")
+    _check_positive("tol", tol)
     _check_count("max_iter", max_iter)
 
 
@@ -144,6 +149,10 @@ def blahut_arimoto(
     two products over the factors and never touches P itself: for the
     oracle's 64 x 41^2 channel, 64 x 41 factors instead of 64 x 1681.
     Their products go into buffers allocated once per call.
+
+    The gap closes slowest when the optimal input leaves actions unused:
+    their weight decays only gradually, so even at the default ``tol`` a
+    run can stop at ``max_iter`` with ``converged`` False.
     """
     _check_ba_args(tol, max_iter)
     left, right = ch.left, ch.right
@@ -248,10 +257,8 @@ def oracle_empowerment(
     state = _as_vector(state, model.state_dim, "state")
     _check_count("n_actions", n_actions)
     _check_count("bins", bins)
-    if not np.isfinite(action_range):
-        raise ValueError("action_range must be finite")
-    if not 0 < pad_sigma < np.inf:
-        raise ValueError("pad_sigma must be positive and finite")
+    _check_positive("action_range", action_range)
+    _check_positive("pad_sigma", pad_sigma)
     _check_ba_args(tol, max_iter)
     acts = np.linspace(-action_range, action_range, n_actions)[:, None]
     conds = model.conditional(state, acts)

@@ -74,8 +74,9 @@ class RunConfig:
             raise ValueError("grid counts must be >= 2 per dimension")
         if min(self.oracle_actions, self.oracle_bins, self.oracle_max_iter) < 1:
             raise ValueError("oracle_actions, oracle_bins and oracle_max_iter must be >= 1")
-        if self.oracle_tol <= 0:
-            raise ValueError("oracle_tol must be positive")
+        for name in ("oracle_tol", "oracle_action_range"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         # the pendulum and optimizer settings check their own values
         self.pendulum_params()
         self.optimizer_options()

@@ -91,6 +91,8 @@ class LayerSpec:
             raise ValueError("weights must be a matrix (out x in)")
         if b.ndim != 1 or b.size != w.shape[0]:
             raise ValueError("bias length must equal weights row count")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError("weights and bias must be finite")
         act = self.activation
         if isinstance(act, str):
             tags = (act,) * w.shape[0]

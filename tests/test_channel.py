@@ -1,12 +1,14 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+import empkit.channel
 import empkit.nets
 
 from empkit import (
@@ -104,6 +106,15 @@ def row_kron(left, right):
     return np.einsum("ai,aj->aij", left, right).reshape(len(left), -1)
 
 
+def dense_rule_rejects(left, right):
+    """The check on the multiplied-out channel: a negative factor entry, or
+    a product that is not a finite matrix whose rows sum to 1 within 1e-9."""
+    if (left < 0).any() or (right < 0).any():
+        return True
+    P = row_kron(left, right)
+    return not (np.isfinite(P).all() and (np.abs(P.sum(axis=1) - 1.0) <= 1e-9).all())
+
+
 @st.composite
 def dirichlet_rows(draw, n_rows=None):
     """A row-stochastic matrix with 1-6 rows (or ``n_rows``) and 1-6
@@ -114,6 +125,25 @@ def dirichlet_rows(draw, n_rows=None):
     alpha = draw(st.sampled_from([0.2, 1.0, 5.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return rng.dirichlet(np.full(n_cols, alpha), size=n_rows)
+
+
+# entries that a factor check has to get right: zeros, negatives, NaN,
+# infinities, and finite values whose products or sums overflow
+_EDGE_ENTRIES = [0.0, -0.25, np.nan, np.inf, -np.inf, 1e308, np.finfo(float).max]
+
+
+@st.composite
+def factor_pairs(draw):
+    """Dirichlet factors with the same row count, a few of whose entries or
+    whole rows are replaced by ``_EDGE_ENTRIES``."""
+    left = draw(dirichlet_rows())
+    right = draw(dirichlet_rows(n_rows=len(left)))
+    for f in (left, right):
+        for _ in range(draw(st.integers(0, 2))):
+            row = draw(st.integers(0, len(f) - 1))
+            cols = slice(None) if draw(st.booleans()) else draw(st.integers(0, f.shape[1] - 1))
+            f[row, cols] = draw(st.sampled_from(_EDGE_ENTRIES))
+    return left, right
 
 
 def shift_model(sigma=0.5):
@@ -245,6 +275,7 @@ class TestDiscreteChannel:
 
     def test_matrix_is_read_only(self):
         ch = DiscreteChannel(np.array([[0.5, 0.5]]))
+        assert set(vars(ch)) == {"left", "right"}
         with pytest.raises(ValueError):
             ch.transition[0, 0] = 1.0
 
@@ -273,12 +304,36 @@ class TestDiscreteChannel:
         rng = np.random.default_rng(12)
         left, right = rng.dirichlet(np.ones(3), size=4), rng.dirichlet(np.ones(5), size=4)
         ch = DiscreteChannel.from_factors(left, right)
+        assert set(vars(ch)) == {"left", "right"}
+        assert (ch.n_actions, ch.n_states) == (4, 15)
         for a in range(4):
             np.testing.assert_array_equal(ch.transition[a], np.kron(left[a], right[a]))
         np.testing.assert_array_equal(ch.left, left)
         np.testing.assert_array_equal(ch.right, right)
-        with pytest.raises(ValueError):
-            ch.left[0, 0] = 1.0
+        for array in (ch.left, ch.transition):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(factors=factor_pairs())
+    @example(factors=(np.array([[1e308, 1e308]]), np.array([[0.0, 0.0]])))
+    def test_rejects_exactly_what_the_dense_rule_rejects(self, factors):
+        """Both constructors accept a factor pair exactly when the product
+        passes the dense check, and then ``transition`` is that product, bit
+        for bit."""
+        left, right = factors
+        with np.errstate(all="ignore"):
+            cases = [
+                (left, right, lambda: DiscreteChannel.from_factors(left, right)),
+                (np.ones((len(right), 1)), right, lambda: DiscreteChannel(right)),
+            ]
+            for lf, rf, build in cases:
+                if dense_rule_rejects(lf, rf):
+                    with pytest.raises(ValueError):
+                        build()
+                else:
+                    expected = row_kron(lf, rf)
+                    assert build().transition.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
         "left, right, match",
@@ -287,8 +342,13 @@ class TestDiscreteChannel:
             ([1.0], [[0.5, 0.5]], "one row per action"),
             ([[-1.0]], [[-0.5, -0.5]], "factor entries must be >= 0"),
             ([[0.5]], [[0.5, 0.5]], "every row must sum to 1"),
+            (np.ones((0, 1)), np.ones((0, 2)), "non-empty matrices"),
+            ([[1.0]], np.ones((1, 0)), "non-empty matrices"),
+            ([[1e308, 1e308]], [[0.0, 0.0]], "every row must sum to 1"),
+            ([[np.inf]], [[1.0, 0.0]], "every row must sum to 1"),
         ],
-        ids=["row_count", "vector_left", "negative", "row_sum"],
+        ids=["row_count", "vector_left", "negative", "row_sum", "no_rows", "no_columns",
+             "overflowing_sum", "inf_times_zero"],
     )
     def test_from_factors_rejects_bad_factors(self, left, right, match):
         with pytest.raises(ValueError, match=match):
@@ -378,10 +438,13 @@ class TestBlahutArimoto:
             blahut_arimoto(ch, tol=0.0)
         with pytest.raises(ValueError):
             blahut_arimoto(ch, max_iter=0)
-        with pytest.raises(ValueError, match="tol must be a positive number"):
-            blahut_arimoto(ch, tol=np.nan)
-        with pytest.raises(ValueError, match="max_iter must be an integer"):
-            blahut_arimoto(ch, max_iter=2.5)
+        for tol in (np.nan, np.inf, True):
+            with pytest.raises(ValueError, match="tol must be a positive finite number"):
+                blahut_arimoto(ch, tol=tol)
+        for max_iter in (2.5, True):
+            with pytest.raises(ValueError, match="max_iter must be an integer"):
+                blahut_arimoto(ch, max_iter=max_iter)
+        assert blahut_arimoto(ch, tol=np.float32(1e-3), max_iter=np.int64(3)).converged
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3])
     def test_cut_run_reports_bounds_of_its_input_distribution(self, max_iter):
@@ -635,13 +698,23 @@ class TestOracleEmpowerment:
             ([0.0, 0.0], {"n_actions": 2.5}, "n_actions must be an integer"),
             ([0.0, 0.0], {"bins": 2.5}, "bins must be an integer"),
             ([0.0, 0.0], {"bins": 41.0}, "bins must be an integer"),
-            ([0.0, 0.0], {"pad_sigma": -1.0}, "pad_sigma must be positive"),
-            ([0.0, 0.0], {"pad_sigma": np.inf}, "pad_sigma must be positive"),
-            ([0.0, 0.0], {"action_range": np.nan}, "action_range must be finite"),
-            ([0.0, 0.0], {"tol": np.nan}, "tol must be a positive number"),
-            ([0.0, 0.0], {"tol": 0.0}, "tol must be a positive number"),
+            ([0.0, 0.0], {"n_actions": True, "bins": 5}, "n_actions must be an integer"),
+            ([0.0, 0.0], {"bins": True}, "bins must be an integer"),
+            ([0.0, 0.0], {"pad_sigma": -1.0}, "pad_sigma must be a positive finite number"),
+            ([0.0, 0.0], {"pad_sigma": np.inf}, "pad_sigma must be a positive finite number"),
+            ([0.0, 0.0], {"pad_sigma": "6"}, "pad_sigma must be a positive finite number"),
+            ([0.0, 0.0], {"pad_sigma": True}, "pad_sigma must be a positive finite number"),
+            ([0.0, 0.0], {"action_range": np.nan}, "action_range must be a positive finite"),
+            ([0.0, 0.0], {"action_range": "4"}, "action_range must be a positive finite"),
+            ([0.0, 0.0], {"action_range": 0}, "action_range must be a positive finite"),
+            ([0.0, 0.0], {"action_range": True}, "action_range must be a positive finite"),
+            ([0.0, 0.0], {"tol": np.nan}, "tol must be a positive finite number"),
+            ([0.0, 0.0], {"tol": 0.0}, "tol must be a positive finite number"),
+            ([0.0, 0.0], {"tol": np.inf}, "tol must be a positive finite number"),
+            ([0.0, 0.0], {"tol": True}, "tol must be a positive finite number"),
             ([0.0, 0.0], {"max_iter": 2.5}, "max_iter must be an integer"),
             ([0.0, 0.0], {"max_iter": 0}, "max_iter must be >= 1"),
+            ([0.0, 0.0], {"max_iter": True}, "max_iter must be an integer"),
         ],
         ids=[
             "state_length",
@@ -651,13 +724,23 @@ class TestOracleEmpowerment:
             "n_actions_fraction",
             "bins_fraction",
             "bins_float",
+            "n_actions_bool",
+            "bins_bool",
             "pad_sigma_negative",
             "pad_sigma_inf",
+            "pad_sigma_str",
+            "pad_sigma_bool",
             "action_range_nan",
+            "action_range_str",
+            "action_range_zero",
+            "action_range_bool",
             "tol_nan",
             "tol_zero",
+            "tol_inf",
+            "tol_bool",
             "max_iter_fraction",
             "max_iter_zero",
+            "max_iter_bool",
         ],
     )
     def test_bad_input_rejected_before_any_conditional(
@@ -670,6 +753,33 @@ class TestOracleEmpowerment:
             with pytest.raises(ValueError, match=match):
                 oracle_empowerment(model, state, **kwargs)
         assert calls == []
+
+    def test_builds_no_dense_matrix(self, monkeypatch):
+        """At AC-5 settings the oracle works on the 64 x 41 factors: no row
+        Kronecker product beyond them, and a peak allocation below the size
+        of the 64 x 41^2 matrix."""
+        row_kron_ = empkit.channel._row_kron
+        shapes = []
+
+        def recording_row_kron(left, right):
+            out = row_kron_(left, right)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(empkit.channel, "_row_kron", recording_row_kron)
+        model = build_pendulum_dynamics(PendulumParams())
+        state = [-np.pi / 2, -4.0]
+        oracle_empowerment(model, state)
+        shapes.clear()
+        tracemalloc.start()
+        try:
+            res = oracle_empowerment(model, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged
+        assert shapes == [(64, 41)]
+        assert peak < 64 * 41**2 * 8
 
     def test_vector_action_rejected(self):
         layer = LayerSpec(np.zeros((2, 3)), [0.0, 0.0])

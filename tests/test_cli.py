@@ -70,6 +70,8 @@ class TestConfig:
             ("oracle_bins", True),
             ("oracle_max_iter", None),
             ("oracle_bins", 0),
+            ("oracle_action_range", 0),
+            ("oracle_action_range", -4.0),
             ("max_iter", 2.5),
             ("grad_tol", float("nan")),
             ("mass", "1.0"),

@@ -8,6 +8,8 @@ from empkit import (
     DiagonalGaussian,
     FeedforwardNet,
     LayerSpec,
+    PendulumParams,
+    build_pendulum_dynamics,
     forward_moments,
     forward_point,
 )
@@ -34,6 +36,17 @@ class TestLayerSpec:
     def test_bias_shape_checked(self):
         with pytest.raises(ValueError):
             LayerSpec(np.eye(2), np.zeros(3))
+
+    @pytest.mark.parametrize("where", ["weights", "bias"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, where, value):
+        # e.g. a NaN in the pendulum's first layer: rejected here, not as a
+        # diverged optimizer or a non-finite Gaussian further on
+        layer = build_pendulum_dynamics(PendulumParams()).net.layers[0]
+        w, b = np.array(layer.weights), np.array(layer.bias)
+        (w if where == "weights" else b)[0] = value
+        with pytest.raises(ValueError, match="weights and bias must be finite"):
+            LayerSpec(w, b, layer.tags)
 
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError):
