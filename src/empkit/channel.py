@@ -8,12 +8,11 @@ in nats.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import DynamicsModel, _as_rows, _as_vector
+from .nets import DynamicsModel, _as_rows, _as_vector, _check_int, _check_real
 
 __all__ = [
     "DiscreteChannel",
@@ -111,26 +110,6 @@ class CapacityResult:
     lower_bounds: tuple = ()
 
 
-# bool is excluded by name: numbers.Integral and numbers.Real admit it
-def _check_count(name, count):
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-        raise ValueError(f"{name} must be an integer")
-    if count < 1:
-        raise ValueError(f"{name} must be >= 1")
-
-
-def _check_positive(name, value):
-    if isinstance(value, bool) or not (
-        isinstance(value, numbers.Real) and 0 < value < np.inf
-    ):
-        raise ValueError(f"{name} must be a positive finite number")
-
-
-def _check_ba_args(tol, max_iter):
-    _check_positive("tol", tol)
-    _check_count("max_iter", max_iter)
-
-
 def blahut_arimoto(
     ch: DiscreteChannel, tol: float = 1e-9, max_iter: int = 10_000
 ) -> CapacityResult:
@@ -154,7 +133,8 @@ def blahut_arimoto(
     their weight decays only gradually, so even at the default ``tol`` a
     run can stop at ``max_iter`` with ``converged`` False.
     """
-    _check_ba_args(tol, max_iter)
+    _check_real("tol", tol)
+    _check_int("max_iter", max_iter)
     left, right = ch.left, ch.right
     neg_entropy = _plogp(left) * right.sum(axis=1) + left.sum(axis=1) * _plogp(right)
     pl = np.empty_like(left)
@@ -255,11 +235,12 @@ def oracle_empowerment(
     if model.action_dim != 1:
         raise ValueError("oracle_empowerment supports scalar actions only")
     state = _as_vector(state, model.state_dim, "state")
-    _check_count("n_actions", n_actions)
-    _check_count("bins", bins)
-    _check_positive("action_range", action_range)
-    _check_positive("pad_sigma", pad_sigma)
-    _check_ba_args(tol, max_iter)
+    _check_int("n_actions", n_actions)
+    _check_int("bins", bins)
+    _check_real("action_range", action_range)
+    _check_real("pad_sigma", pad_sigma)
+    _check_real("tol", tol)
+    _check_int("max_iter", max_iter)
     acts = np.linspace(-action_range, action_range, n_actions)[:, None]
     conds = model.conditional(state, acts)
     means, sds = conds.mean, np.sqrt(conds.variance)

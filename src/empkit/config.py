@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empowerment import OptimizerOptions, _is_int, _is_real
+from .empowerment import OptimizerOptions
+from .nets import _check_int, _check_real
 from .pendulum import PendulumParams
 
 __all__ = ["RunConfig", "load_config"]
@@ -61,23 +62,18 @@ class RunConfig:
     seed: int = OptimizerOptions.seed
 
     def __post_init__(self):
-        # JSON hands over any type: check each field against its annotation
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and not _is_int(value):
-                raise ValueError(f"{f.name} must be an integer")
-            if f.type == "float" and not _is_real(value):
-                raise ValueError(f"{f.name} must be a finite number")
-            if f.type == "str" and not isinstance(value, str):
-                raise ValueError(f"{f.name} must be a string")
-        if self.angle_count < 2 or self.velocity_count < 2:
-            raise ValueError("grid counts must be >= 2 per dimension")
-        if min(self.oracle_actions, self.oracle_bins, self.oracle_max_iter) < 1:
-            raise ValueError("oracle_actions, oracle_bins and oracle_max_iter must be >= 1")
-        for name in ("oracle_tol", "oracle_action_range"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        # the pendulum and optimizer settings check their own values
+        # JSON hands over any type; the pendulum and optimizer settings are
+        # checked by the constructors they are passed to
+        for name in ("angle_min", "angle_max", "velocity_min", "velocity_max"):
+            _check_real(name, getattr(self, name), positive=False)
+        _check_int("angle_count", self.angle_count, minimum=2)
+        _check_int("velocity_count", self.velocity_count, minimum=2)
+        for name in ("oracle_actions", "oracle_bins", "oracle_max_iter"):
+            _check_int(name, getattr(self, name))
+        _check_real("oracle_action_range", self.oracle_action_range)
+        _check_real("oracle_tol", self.oracle_tol)
+        if not isinstance(self.out_dir, str):
+            raise ValueError("out_dir must be a string")
         self.pendulum_params()
         self.optimizer_options()
         object.__setattr__(self, "noise_std", tuple(self.noise_std))

@@ -22,6 +22,8 @@ from .gaussian import DiagonalGaussian
 from .nets import (
     DynamicsModel,
     _as_vector,
+    _check_int,
+    _check_real,
     _fused_backprop,
     _fused_trace,
     forward_point,
@@ -85,16 +87,6 @@ class GaussianPolicy:
         return self.action_mean.size
 
 
-def _is_int(x) -> bool:
-    """An int that is not a bool."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_real(x) -> bool:
-    """A finite int or float that is not a bool."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
 @dataclass(frozen=True)
 class OptimizerOptions:
     max_iter: int = 200
@@ -104,15 +96,11 @@ class OptimizerOptions:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_iter", "restarts", "mc_samples", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer")
-        if self.max_iter < 1 or self.restarts < 1 or self.mc_samples < 1:
-            raise ValueError("max_iter, restarts and mc_samples must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if not (_is_real(self.grad_tol) and 0.0 < self.grad_tol < math.inf):
-            raise ValueError("grad_tol must be positive and finite")
+        _check_int("max_iter", self.max_iter)
+        _check_real("grad_tol", self.grad_tol)
+        _check_int("restarts", self.restarts)
+        _check_int("mc_samples", self.mc_samples)
+        _check_int("seed", self.seed, minimum=0)
 
 
 @dataclass(frozen=True)
@@ -240,8 +228,6 @@ def _mi_core(model, state, mean, log_std, eps, want_grad):
 
 
 def _draw_eps(seed: int, mc_samples: int, action_dim: int) -> np.ndarray:
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be >= 1")
     return np.random.default_rng(seed).standard_normal((mc_samples, action_dim))
 
 
@@ -250,6 +236,8 @@ def _objective(model, state, policy, mc_samples, seed, want_grad):
     ``_mi_core`` call: the value, with the gradient if ``want_grad``."""
     state = _as_vector(state, model.state_dim, "state")
     _check_policy(model, policy)
+    _check_int("mc_samples", mc_samples)
+    _check_int("seed", seed, minimum=0)
     eps = _draw_eps(seed, mc_samples, model.action_dim)
     value, gmean, glog, _ = _mi_core(
         model,

@@ -17,6 +17,8 @@ branch next to pass-through units) in a single layer.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,8 +87,9 @@ class LayerSpec:
     _weights_sq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        b = np.asarray(self.bias, dtype=float)
+        # copies, so that freezing them leaves the caller's arrays writable
+        w = np.array(self.weights, dtype=float)
+        b = np.array(self.bias, dtype=float)
         if w.ndim != 2:
             raise ValueError("weights must be a matrix (out x in)")
         if b.ndim != 1 or b.size != w.shape[0]:
@@ -177,6 +180,24 @@ class FeedforwardNet:
     @property
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
+
+
+# The one scalar rule at every API boundary: any numbers.Integral or
+# numbers.Real (numpy scalars included), but never a bool, which both admit.
+def _check_int(name, value, minimum=1):
+    """ValueError unless ``value`` is an integer >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
+def _check_real(name, value, positive=True):
+    """ValueError unless ``value`` is a finite number, and > 0 if ``positive``."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (ok and math.isfinite(value) and (value > 0 or not positive)):
+        kind = "positive finite" if positive else "finite"
+        raise ValueError(f"{name} must be a {kind} number")
 
 
 def _as_vector(x, dim: int, what: str) -> np.ndarray:

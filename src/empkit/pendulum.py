@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empowerment import _is_real
-from .nets import DynamicsModel, FeedforwardNet, LayerSpec
+from .nets import DynamicsModel, FeedforwardNet, LayerSpec, _check_real
 
 __all__ = [
     "VEL_LIMIT",
@@ -47,17 +46,16 @@ class PendulumParams:
     noise_std: tuple = (0.01, 0.05)
 
     def __post_init__(self):
+        # stored as Python floats, so that a numpy float32 argument does not
+        # carry float32 arithmetic into the dynamics net
         for name in ("mass", "length", "gravity", "friction", "dt", "max_torque"):
-            value = getattr(self, name)
-            if not (_is_real(value) and value > 0):
-                raise ValueError(f"{name} must be a positive finite number")
+            _check_real(name, getattr(self, name))
+            object.__setattr__(self, name, float(getattr(self, name)))
         ns = self.noise_std
-        if not (
-            isinstance(ns, (tuple, list, np.ndarray))
-            and len(ns) == 2
-            and all(_is_real(s) and s > 0 for s in ns)
-        ):
+        if not (isinstance(ns, (tuple, list, np.ndarray)) and len(ns) == 2):
             raise ValueError("noise_std must be two positive finite numbers")
+        for i, s in enumerate(ns):
+            _check_real(f"noise_std[{i}]", s)
         object.__setattr__(self, "noise_std", tuple(float(s) for s in ns))
 
 
@@ -72,13 +70,13 @@ class PendulumState:
     angular_velocity: float
 
     def __post_init__(self):
-        a = float(self.angle)
-        v = float(self.angular_velocity)
-        if not (np.isfinite(a) and np.isfinite(v)):
-            raise ValueError("state must be finite")
-        object.__setattr__(self, "angle", wrap_angle(a))
+        _check_real("angle", self.angle, positive=False)
+        _check_real("angular_velocity", self.angular_velocity, positive=False)
+        object.__setattr__(self, "angle", wrap_angle(float(self.angle)))
         object.__setattr__(
-            self, "angular_velocity", float(np.clip(v, -VEL_LIMIT, VEL_LIMIT))
+            self,
+            "angular_velocity",
+            float(np.clip(self.angular_velocity, -VEL_LIMIT, VEL_LIMIT)),
         )
 
     def as_vector(self) -> np.ndarray:
@@ -94,8 +92,7 @@ def _accel(angle, velocity, torque, p: PendulumParams) -> float:
 
 def pendulum_step(s: PendulumState, torque: float, p: PendulumParams) -> PendulumState:
     """One semi-implicit Euler step with hard torque clipping and wrap/clamp."""
-    if not np.isfinite(torque):
-        raise ValueError("torque must be finite")
+    _check_real("torque", torque, positive=False)
     u = float(np.clip(torque, -p.max_torque, p.max_torque))
     vel = s.angular_velocity + p.dt * _accel(s.angle, s.angular_velocity, u, p)
     ang = s.angle + p.dt * vel

@@ -248,6 +248,25 @@ class TestMiLowerBound:
             with pytest.raises(ValueError):
                 objective(model, [0.0], GaussianPolicy([0.0], [0.0]), 0, 0)
 
+    @pytest.mark.parametrize(
+        "objective", [mi_lower_bound, mi_lower_bound_with_gradient]
+    )
+    @pytest.mark.parametrize(
+        "mc_samples, seed, match",
+        [
+            (2.5, 0, "mc_samples must be an integer"),
+            (True, 0, "mc_samples must be an integer"),
+            (8, 1.5, "seed must be an integer"),
+            (8, "0", "seed must be an integer"),
+            (8, -1, "seed must be >= 0"),
+        ],
+        ids=["mc_fraction", "mc_bool", "seed_fraction", "seed_str", "seed_negative"],
+    )
+    def test_bad_scalar_raises_value_error(self, objective, mc_samples, seed, match):
+        policy = GaussianPolicy([0.0], [0.0])
+        with pytest.raises(ValueError, match=match):
+            objective(shift_model(), [0.0], policy, mc_samples, seed)
+
     @pytest.mark.parametrize("case", ["shift", "pendulum"])
     def test_equals_mean_kl_of_conditionals_to_marginal(self, case):
         # the objective's fused pass against its definition: conditionals

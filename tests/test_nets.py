@@ -52,6 +52,15 @@ class TestLayerSpec:
         with pytest.raises(ValueError):
             LayerSpec(np.eye(2), np.zeros(2), "relu")
 
+    def test_caller_arrays_stay_writable_and_unshared(self):
+        w, b = np.eye(2), np.zeros(2)
+        layer = LayerSpec(w, b)
+        w[0, 0] = 3.0
+        b[1] = -1.0
+        np.testing.assert_array_equal(layer.weights, np.eye(2))
+        np.testing.assert_array_equal(layer.bias, np.zeros(2))
+        assert not layer.weights.flags.writeable and not layer.bias.flags.writeable
+
     def test_per_unit_tags(self):
         layer = LayerSpec(np.eye(2), np.zeros(2), ("sine", "identity"))
         out = layer.act(np.array([0.5, 0.5]))

@@ -43,6 +43,18 @@ class TestParams:
         assert p.max_torque == 2.0
         assert p.noise_std == (0.01, 0.05)
 
+    def test_numpy_scalars_stored_as_floats(self):
+        # a float32 mass must not put float32 arithmetic into the net
+        mass = np.float32(1.1)
+        p = PendulumParams(mass=mass, dt=np.int64(1), noise_std=(np.float32(0.5), 1))
+        assert all(type(v) is float for v in (p.mass, p.dt, *p.noise_std))
+        want = PendulumParams(mass=float(mass), dt=1.0, noise_std=(0.5, 1.0))
+        assert p == want
+        got = build_pendulum_dynamics(PendulumParams(mass=mass)).net.layers
+        ref = build_pendulum_dynamics(PendulumParams(mass=float(mass))).net.layers
+        for a, b in zip(got, ref):
+            np.testing.assert_array_equal(a.weights, b.weights)
+
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             PendulumParams(mass=0.0)
@@ -93,6 +105,22 @@ class TestState:
         with pytest.raises(ValueError):
             PendulumState(np.nan, 0.0)
 
+    @pytest.mark.parametrize(
+        "angle, velocity, match",
+        [
+            ("1.0", 0.0, "angle must be a finite number"),
+            (True, 0.0, "angle must be a finite number"),
+            (None, 0.0, "angle must be a finite number"),
+            (0.0, "2", "angular_velocity must be a finite number"),
+            (0.0, np.True_, "angular_velocity must be a finite number"),
+        ],
+        ids=["angle_str", "angle_bool", "angle_none", "velocity_str",
+             "velocity_np_bool"],
+    )
+    def test_non_numeric_rejected(self, angle, velocity, match):
+        with pytest.raises(ValueError, match=match):
+            PendulumState(angle, velocity)
+
     def test_as_vector(self):
         np.testing.assert_array_equal(
             PendulumState(0.5, -1.0).as_vector(), [0.5, -1.0]
@@ -137,6 +165,11 @@ class TestStep:
     def test_nonfinite_torque_rejected(self):
         with pytest.raises(ValueError):
             pendulum_step(PendulumState(0.0, 0.0), np.inf, PendulumParams())
+
+    @pytest.mark.parametrize("torque", ["1", True, None], ids=["str", "bool", "none"])
+    def test_non_numeric_torque_rejected(self, torque):
+        with pytest.raises(ValueError, match="torque must be a finite number"):
+            pendulum_step(PendulumState(0.0, 0.0), torque, PendulumParams())
 
     def test_single_step_matches_ode_oracle(self):
         p = PendulumParams()
