@@ -4,9 +4,8 @@ Subcommands:
     empkit landscape      --config <path> [--out <dir>] [--seed <n>]
     empkit compare-oracle --config <path> --states <n> [--out <dir>] [--seed <n>]
     empkit rollout        --config <path> --start <angle,velocity> --steps <n>
-    empkit selfcheck
 
-Exit codes: 0 success, 1 check failure, 2 configuration error.
+Exit codes: 0 success, 1 I/O failure, 2 configuration or usage error.
 All outputs are deterministic for a fixed (config, seed).
 """
 
@@ -20,21 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import DiscreteChannel, blahut_arimoto, oracle_empowerment
+from .channel import oracle_empowerment
 from .config import RunConfig, load_config
 from .empowerment import (
     empowerment_landscape,
     maximize_empowerment,
     select_action,
 )
-from .gaussian import DiagonalGaussian, kl_diag_gaussian
-from .nets import FeedforwardNet, LayerSpec, forward_moments, forward_point
-from .pendulum import (
-    PendulumState,
-    build_pendulum_dynamics,
-    pendulum_step,
-    wrap_angle,
-)
+from .nets import forward_point
+from .pendulum import PendulumState, build_pendulum_dynamics
 
 
 def _fmt(x: float) -> str:
@@ -62,10 +55,10 @@ def _write_pgm(path: Path, values: np.ndarray) -> None:
 def cmd_landscape(config: RunConfig) -> int:
     model = build_pendulum_dynamics(config.pendulum_params())
     states = config.grid_states()
-    results = empowerment_landscape(model, states, config.optimizer_options())
-
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    results = empowerment_landscape(model, states, config.optimizer_options())
+
     failures = 0
     values = np.full(len(results), np.nan)
     with open(out / "landscape.csv", "w", newline="") as fh:
@@ -200,89 +193,6 @@ def cmd_rollout(config: RunConfig, start, steps: int) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# selfcheck
-
-
-def _check_kl_quadrature():
-    from scipy.integrate import quad
-
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        mp, mq = rng.normal(0, 1, 2)
-        sp, sq = rng.uniform(0.5, 2.0, 2)
-        p = DiagonalGaussian([mp], [sp**2])
-        q = DiagonalGaussian([mq], [sq**2])
-
-        def integrand(x):
-            lp = -0.5 * ((x - mp) / sp) ** 2 - np.log(sp)
-            lq = -0.5 * ((x - mq) / sq) ** 2 - np.log(sq)
-            return np.exp(lp) / np.sqrt(2 * np.pi) * (lp - lq)
-
-        ref = quad(integrand, mp - 12 * sp, mp + 12 * sp, limit=200)[0]
-        if abs(kl_diag_gaussian(p, q) - ref) > 1e-6:
-            return False
-    return True
-
-
-def _check_ba_bsc():
-    ch = DiscreteChannel(np.array([[0.9, 0.1], [0.1, 0.9]]))
-    ref = np.log(2) + 0.1 * np.log(0.1) + 0.9 * np.log(0.9)
-    return abs(blahut_arimoto(ch).capacity - ref) < 1e-9
-
-
-def _check_affine_moments():
-    rng = np.random.default_rng(2)
-    w1, w2 = rng.normal(size=(3, 2)), rng.normal(size=(2, 3))
-    net = FeedforwardNet(
-        (LayerSpec(w1, rng.normal(size=3)), LayerSpec(w2, rng.normal(size=2)))
-    )
-    g = DiagonalGaussian(rng.normal(size=2), rng.uniform(0.5, 1.5, 2))
-    out = forward_moments(net, g)
-    mean_ref = forward_point(net, g.mean)
-    var_ref = (w2**2) @ ((w1**2) @ g.variance)
-    return np.allclose(out.mean, mean_ref, rtol=1e-12) and np.allclose(
-        out.variance, var_ref, rtol=1e-10
-    )
-
-
-def _check_pendulum_equilibria():
-    from .pendulum import PendulumParams
-
-    p = PendulumParams()
-    up = pendulum_step(PendulumState(0.0, 0.0), 0.0, p)
-    down = pendulum_step(PendulumState(np.pi, 0.0), 0.0, p)
-    return (
-        abs(up.angle) < 1e-12
-        and abs(up.angular_velocity) < 1e-12
-        and abs(wrap_angle(down.angle - np.pi)) < 1e-9
-        and abs(down.angular_velocity) < 1e-9
-    )
-
-
-_CHECKS = [
-    ("kl_quadrature_agreement", _check_kl_quadrature),
-    ("blahut_arimoto_bsc", _check_ba_bsc),
-    ("affine_moment_propagation", _check_affine_moments),
-    ("pendulum_equilibria", _check_pendulum_equilibria),
-]
-
-
-def cmd_selfcheck() -> int:
-    failed = 0
-    for name, fn in _CHECKS:
-        try:
-            ok = fn()
-        except Exception:
-            ok = False
-        print(f"{name}: {'PASS' if ok else 'FAIL'}")
-        failed += not ok
-    return 1 if failed else 0
-
-
-# ---------------------------------------------------------------------------
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="empkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -303,15 +213,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--start", required=True, help="start state as angle,velocity")
     p.add_argument("--steps", type=int, required=True)
-
-    sub.add_parser("selfcheck", help="fast invariant suite")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "selfcheck":
-        return cmd_selfcheck()
     try:
         config = load_config(
             args.config, {"out_dir": args.out, "seed": args.seed}

@@ -1,8 +1,6 @@
-"""Diagonal Gaussian distributions and closed-form information quantities.
+"""Diagonal Gaussian distributions and their closed-form KL divergence.
 
-All quantities are in nats.  Random draws use numpy's default bit
-generator (PCG64) seeded explicitly, so every stochastic routine in this
-package is reproducible bit-for-bit given its seed.
+All quantities are in nats.
 """
 
 from __future__ import annotations

@@ -147,14 +147,9 @@ class LayerSpec:
             return _ACT[self.tags[0]][1](z)
         f, df, d2f = np.empty((3,) + z.shape)
         for tag, units in self._runs:
-            if tag == "identity":
-                f[..., units] = z[..., units]
-                df[..., units] = 1.0
-                d2f[..., units] = 0.0
-            else:
-                f[..., units], df[..., units], d2f[..., units] = _ACT[tag][1](
-                    z[..., units]
-                )
+            f[..., units], df[..., units], d2f[..., units] = _ACT[tag][1](
+                z[..., units]
+            )
         return f, df, d2f
 
 

@@ -228,15 +228,6 @@ class TestRolloutCommand:
                      "--steps", "1"]) == 2
 
 
-class TestSelfcheckCommand:
-    def test_passes_and_prints_each_check(self, capsys):
-        assert main(["selfcheck"]) == 0
-        out = capsys.readouterr().out
-        for name in ("kl_quadrature_agreement", "blahut_arimoto_bsc",
-                     "affine_moment_propagation", "pendulum_equilibria"):
-            assert f"{name}: PASS" in out
-
-
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["landscape", "--config", str(tmp_path / "nope.json")]) == 2
@@ -250,3 +241,21 @@ class TestExitCodes:
         path = tmp_path / "config.json"
         path.write_text('{"angle_count": 1}')
         assert main(["landscape", "--config", str(path)]) == 2
+
+    def test_unknown_subcommand_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["selfcheck"])
+        assert exc.value.code == 2
+
+    def test_unwritable_out_fails_before_the_sweep(self, tmp_path, monkeypatch):
+        import empkit.cli as cli
+
+        calls = []
+        monkeypatch.setattr(
+            cli, "empowerment_landscape", lambda *a, **k: calls.append(a) or []
+        )
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = write_config(tmp_path)
+        assert main(["landscape", "--config", str(cfg), "--out", str(blocker)]) == 1
+        assert calls == []
