@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import DynamicsModel, _as_rows, _as_vector, _check_int, _check_real
+from .gaussian import DiagonalGaussian
+from .nets import DynamicsModel, _as_vector, _check_int, _check_real
 
 __all__ = [
     "DiscreteChannel",
@@ -23,6 +24,9 @@ __all__ = [
 ]
 
 _ROW_SUM_TOL = 1e-9
+# the oracle's bins reach this many standard deviations past the
+# conditional means
+_PAD_SIGMA = 6.0
 
 
 def _row_kron(left, right):
@@ -176,32 +180,31 @@ def blahut_arimoto(
     )
 
 
-def discretize_dynamics(
-    model: DynamicsModel, state, action_grid, state_bins
-) -> DiscreteChannel:
-    """Bin p(x'|x,a) for every action in ``action_grid``.
+def discretize_dynamics(conditionals: DiagonalGaussian, state_bins) -> DiscreteChannel:
+    """Bin a stack of conditionals p(x'|x,a), one row per action.
 
-    ``state_bins`` is a list of strictly increasing edge arrays, one per
-    state dimension; dimension d gets len(edges_d)-1 bins.  Tail mass
-    beyond the outer edges is assigned to the outermost bins, so rows sum
-    to one exactly.  Per-dimension masses multiply (diagonal model), so
-    the channel is built from its factors: the row-wise Kronecker product
-    of the first D-1 mass matrices, and the last one.
+    ``conditionals`` is the (n, D) stack that ``model.conditional(state,
+    action_grid)`` returns.  ``state_bins`` is a list of strictly
+    increasing edge arrays, one per state dimension; dimension d gets
+    len(edges_d)-1 bins.  Tail mass beyond the outer edges is assigned to
+    the outermost bins, so rows sum to one exactly.  Per-dimension masses
+    multiply (diagonal model), so the channel is built from its factors:
+    the row-wise Kronecker product of the first D-1 mass matrices, and
+    the last one.
     """
-    state = _as_vector(state, model.state_dim, "state")
-    actions = _as_rows(action_grid, model.action_dim, "action_grid")
+    if conditionals.mean.ndim != 2:
+        raise ValueError("conditionals must be a stack, one row per action")
     edges = [np.asarray(e, dtype=float) for e in state_bins]
     for e in edges:
         if e.ndim != 1 or e.size < 2 or not (np.diff(e) > 0).all():
             raise ValueError("bin edges must be strictly increasing with >= 2 entries")
-    if len(edges) != model.state_dim:
+    if len(edges) != conditionals.dim:
         raise ValueError("need one edge array per state dimension")
     # imported here, not at module top: scipy.special is most of the import
     # time and memory of scipy, and only this binning step needs it
     from scipy.special import ndtr
 
-    conds = model.conditional(state, actions)
-    means, sds = conds.mean, np.sqrt(conds.variance)
+    means, sds = conditionals.mean, np.sqrt(conditionals.variance)
     masses = []
     for d, e in enumerate(edges):
         cdf = ndtr((e - means[:, d, None]) / sds[:, d, None])
@@ -209,7 +212,7 @@ def discretize_dynamics(
         probs[:, 0] += cdf[:, 0]
         probs[:, -1] += 1.0 - cdf[:, -1]
         masses.append(probs)
-    left = np.ones((len(actions), 1))
+    left = np.ones((len(means), 1))
     for probs in masses[:-1]:
         left = _row_kron(left, probs)
     return DiscreteChannel.from_factors(left, masses[-1])
@@ -223,14 +226,15 @@ def oracle_empowerment(
     action_range: float = 4.0,
     tol: float = 1e-3,
     max_iter: int = 10_000,
-    pad_sigma: float = 6.0,
 ) -> CapacityResult:
     """Ground-truth empowerment of a scalar-action model at one state.
 
     Discretizes the action axis uniformly over [-action_range, action_range]
     and bins each state dimension over the span of the conditional means,
-    padded by ``pad_sigma`` standard deviations, so the bin resolution
-    adapts to the locally reachable set instead of the full state space.
+    padded by six standard deviations, so the bin resolution adapts to the
+    locally reachable set instead of the full state space.  One
+    ``model.conditional`` call gives the conditionals that both place the
+    edges and are binned.
     """
     if model.action_dim != 1:
         raise ValueError("oracle_empowerment supports scalar actions only")
@@ -238,17 +242,12 @@ def oracle_empowerment(
     _check_int("n_actions", n_actions)
     _check_int("bins", bins)
     _check_real("action_range", action_range)
-    _check_real("pad_sigma", pad_sigma)
     _check_real("tol", tol)
     _check_int("max_iter", max_iter)
     acts = np.linspace(-action_range, action_range, n_actions)[:, None]
     conds = model.conditional(state, acts)
-    means, sds = conds.mean, np.sqrt(conds.variance)
-    edges = []
-    for d in range(model.state_dim):
-        pad = pad_sigma * sds[:, d].max()
-        edges.append(
-            np.linspace(means[:, d].min() - pad, means[:, d].max() + pad, bins + 1)
-        )
-    ch = discretize_dynamics(model, state, acts, edges)
+    pad = _PAD_SIGMA * np.sqrt(conds.variance).max(axis=0)
+    lo, hi = conds.mean.min(axis=0) - pad, conds.mean.max(axis=0) + pad
+    edges = np.linspace(lo, hi, bins + 1, axis=1)
+    ch = discretize_dynamics(conds, edges)
     return blahut_arimoto(ch, tol=tol, max_iter=max_iter)

@@ -59,25 +59,19 @@ def cmd_landscape(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     results = empowerment_landscape(model, states, config.optimizer_options())
 
-    failures = 0
     values = np.full(len(results), np.nan)
     with open(out / "landscape.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["angle", "velocity", "empowerment_nats", "converged"])
         for i, (s, est) in enumerate(results):
-            if est is None:
-                failures += 1
-                writer.writerow([_fmt(s[0]), _fmt(s[1]), "", "false"])
-            else:
+            ok = est is not None
+            if ok:
                 values[i] = est.value
-                writer.writerow(
-                    [
-                        _fmt(s[0]),
-                        _fmt(s[1]),
-                        _fmt(est.value),
-                        "true" if est.converged else "false",
-                    ]
-                )
+            writer.writerow(
+                [_fmt(s[0]), _fmt(s[1]), _fmt(est.value) if ok else "",
+                 "true" if ok and est.converged else "false"]
+            )
+    failures = sum(est is None for _, est in results)
     grid = values.reshape(config.velocity_count, config.angle_count)
     _write_pgm(out / "landscape.pgm", grid)
     if failures:
@@ -139,14 +133,10 @@ def cmd_compare_oracle(config: RunConfig, n_states: int) -> int:
                 eff_vals.append(est.value)
                 orc_vals.append(orc.capacity)
                 speedups.append(t_orc / t_eff)
-                writer.writerow(
-                    [_fmt(s[0]), _fmt(s[1]), _fmt(est.value), _fmt(orc.capacity),
-                     _fmt(t_eff), _fmt(t_orc)]
-                )
-            else:
-                writer.writerow(
-                    [_fmt(s[0]), _fmt(s[1]), _fmt(est.value), "", _fmt(t_eff), _fmt(t_orc)]
-                )
+            writer.writerow(
+                [_fmt(s[0]), _fmt(s[1]), _fmt(est.value),
+                 _fmt(orc.capacity) if orc.converged else "", _fmt(t_eff), _fmt(t_orc)]
+            )
     if len(orc_vals) >= 2:
         rho = _spearman(eff_vals, orc_vals)
         print(f"spearman_rank_correlation {rho:.4f}")

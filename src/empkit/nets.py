@@ -51,22 +51,11 @@ def _sine_all(z):
     return s, np.cos(z), -s
 
 
-def _cosine_all(z):
-    c = np.cos(z)
-    return c, -np.sin(z), -c
-
-
-def _square_all(z):
-    return z * z, 2.0 * z, np.full(z.shape, 2.0)
-
-
 # tag -> (f, z -> (f, f', f'') computed together)
 _ACT = {
     "identity": (lambda z: z, _identity_all),
     "tanh": (np.tanh, _tanh_all),
     "sine": (np.sin, _sine_all),
-    "cosine": (np.cos, _cosine_all),
-    "square": (lambda z: z * z, _square_all),
 }
 
 
@@ -206,16 +195,16 @@ def _as_vector(x, dim: int, what: str) -> np.ndarray:
 def _as_rows(x, dim: int, what: str) -> np.ndarray:
     """``x`` as a finite (n, dim) float array with n >= 1, else ValueError.
 
-    For ``dim`` 1 a flat sequence of n scalars is taken as n rows.
+    A single vector (or, for ``dim`` 1, a scalar) is one row.
     """
     invalid = ValueError(f"{what} entry must be a finite vector of length {dim}")
     try:
         rows = np.asarray(x, dtype=float)
     except (TypeError, ValueError):
         raise invalid from None
-    if rows.ndim == 1 and dim == 1:
-        rows = rows[:, None]
-    if rows.ndim >= 1 and len(rows) == 0:
+    if rows.ndim < 2:
+        rows = np.atleast_1d(rows)[None]
+    if len(rows) == 0:
         raise ValueError(f"{what} must be non-empty")
     if rows.ndim != 2 or rows.shape[1] != dim or not np.isfinite(rows).all():
         raise invalid
@@ -252,16 +241,14 @@ class DynamicsModel:
         rounds differently.
         """
         state = _as_vector(state, self.state_dim, "state")
-        single = np.ndim(action) < 2
-        actions = _as_rows(
-            np.atleast_1d(action)[None] if single else action, self.action_dim, "action"
-        )
+        actions = _as_rows(action, self.action_dim, "action")
         d = self.state_dim
         x = np.empty((len(actions), 1, self.net.in_dim))
         x[:, 0, :d] = state
         x[:, 0, d:] = actions
         y = forward_point(self.net, x)[:, 0]
-        if single:
+        # one action; _as_rows has ruled out a ragged batch by now
+        if np.ndim(action) < 2:
             y = y[0]
         return DiagonalGaussian(y[..., :d], np.exp(2.0 * y[..., d:]))
 

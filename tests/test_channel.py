@@ -79,7 +79,8 @@ def ac5_inputs():
 
 def ac5_channel():
     """The 64 x 41^2 pendulum channel at the state of ``ac5_inputs``."""
-    P = discretize_dynamics(*ac5_inputs()).transition
+    model, state, acts, edges = ac5_inputs()
+    P = discretize_dynamics(model.conditional(state, acts), edges).transition
     assert P.shape == (64, 41 * 41)
     return P
 
@@ -188,7 +189,7 @@ def conditional_1d(model, state, action):
 def two_action_model():
     """2-D state, 2-D action, two mixed-activation layers."""
     rng = np.random.default_rng(21)
-    tags = ("tanh", "sine", "sine", "identity", "cosine")
+    tags = ("tanh", "sine", "sine", "identity", "tanh")
     hidden = LayerSpec(rng.normal(size=(5, 4)), rng.normal(size=5), tags)
     out = LayerSpec(0.5 * rng.normal(size=(4, 5)), rng.normal(size=4), "tanh")
     return DynamicsModel(FeedforwardNet((hidden, out)), state_dim=2, action_dim=2)
@@ -238,20 +239,35 @@ class TestConditional:
         assert np.array_equal(g.mean, stack.mean[0])
 
     @pytest.mark.parametrize(
-        "state, action, match",
+        "model, state, action, match",
         [
-            ([np.nan, 0.0], [0.5, -1.0], "state must be a finite vector of length 2"),
-            ([0.0], [0.5, -1.0], "state must be a finite vector of length 2"),
-            ([0.0, 0.0], [0.5], "action entry must be a finite vector of length 2"),
-            ([0.0, 0.0], [[0.5, -1.0, 2.0]], "action entry must be a finite"),
-            ([0.0, 0.0], [[0.5, np.inf]], "action entry must be a finite"),
-            ([0.0, 0.0], np.empty((0, 2)), "action must be non-empty"),
+            ("two", [np.nan, 0.0], [0.5, -1.0], "state must be a finite vector of length 2"),
+            ("two", [0.0], [0.5, -1.0], "state must be a finite vector of length 2"),
+            ("two", [0.0, 0.0], [0.5], "action entry must be a finite vector of length 2"),
+            ("two", [0.0, 0.0], [[0.5, -1.0, 2.0]], "action entry must be a finite"),
+            ("two", [0.0, 0.0], [[0.5, np.inf]], "action entry must be a finite"),
+            ("two", [0.0, 0.0], np.empty((0, 2)), "action must be non-empty"),
+            ("shift", [0.0, 0.0], [[0.0]], "state must be a finite vector of length 1"),
+            ("shift", [np.inf], [[0.0]], "state must be a finite vector of length 1"),
+            ("shift", [0.0], [[0.0, 1.0]], "action entry must be a finite vector of length 1"),
+            ("shift", [0.0], [[np.nan]], "action entry must be a finite vector of length 1"),
+            ("shift", [0.0], [[0.0], [0.0, 1.0]], "action entry must be a finite"),
+            ("shift", [0.0], [], "action entry must be a finite vector of length 1"),
+            ("pendulum", [0, 0], [[0.0], [0.0, 1.0]], "action entry must be a finite"),
         ],
         ids=["state_nan", "state_length", "action_length", "batch_width", "batch_inf",
-             "batch_empty"],
+             "batch_empty", "shift_state_length", "shift_state_inf", "shift_action_length",
+             "shift_action_nan", "shift_action_ragged", "shift_action_empty",
+             "pendulum_action_ragged"],
     )
-    def test_bad_input_rejected_before_evaluation(self, monkeypatch, state, action, match):
-        model = two_action_model()
+    def test_bad_input_rejected_before_evaluation(
+        self, monkeypatch, model, state, action, match
+    ):
+        model = {
+            "two": two_action_model,
+            "shift": shift_model,
+            "pendulum": lambda: build_pendulum_dynamics(PendulumParams()),
+        }[model]()
         calls = []
         monkeypatch.setattr(empkit.nets, "forward_point", lambda *a: calls.append(a))
         with pytest.raises(ValueError, match=match):
@@ -569,54 +585,47 @@ class TestDiscretizeDynamics:
         else:
             edges = [np.linspace(-4, 4, n) for n in (6, 4, 8)]
             args = (mixing_model(), [0.5, -1.0, 0.3], [[-1.0], [0.0], [2.0]], edges)
-        ch = discretize_dynamics(*args)
+        model, state, actions, edges = args
+        ch = discretize_dynamics(model.conditional(state, actions), edges)
         assert np.array_equal(ch.transition, outer_loop_discretization(*args))
 
-    @pytest.mark.parametrize(
-        "state, actions, edges, match",
-        [
-            ([0.0, 0.0], [[0.0]], [[-1.0, 1.0]], "state must be a finite vector of length 1"),
-            ([np.inf], [[0.0]], [[-1.0, 1.0]], "state must be a finite vector of length 1"),
-            ([0.0], [[0.0, 1.0]], [[-1.0, 1.0]], "action_grid entry must be a finite"),
-            ([0.0], [[np.nan]], [[-1.0, 1.0]], "action_grid entry must be a finite"),
-            ([0.0], [[0.0], [0.0, 1.0]], [[-1.0, 1.0]], "action_grid entry must be a finite"),
-            ([0.0], [], [[-1.0, 1.0]], "action_grid must be non-empty"),
-            ([0.0], [[0.0]], [[-1.0, np.nan, 1.0]], "bin edges must be strictly increasing"),
-        ],
-        ids=[
-            "state_length",
-            "state_inf",
-            "action_length",
-            "action_nan",
-            "action_ragged",
-            "action_empty",
-            "edge_nan",
-        ],
-    )
-    def test_bad_input_rejected_before_any_conditional(
-        self, monkeypatch, state, actions, edges, match
-    ):
+    def test_evaluates_no_model(self, monkeypatch):
+        model, edges = shift_model(0.7), [np.linspace(-3, 3, 12)]
+        stack = model.conditional([0.2], [[-1.0], [0.0], [1.5]])
         calls = forbid_evaluation(monkeypatch)
-        with pytest.raises(ValueError, match=match):
-            discretize_dynamics(shift_model(), state, actions, edges)
+        assert discretize_dynamics(stack, edges).n_actions == 3
         assert calls == []
 
-    def test_flat_grid_of_scalar_actions(self):
-        model, edges = shift_model(0.7), [np.linspace(-3, 3, 12)]
-        flat = discretize_dynamics(model, [0.2], [-1.0, 0.0, 1.5], edges)
-        rows = discretize_dynamics(model, [0.2], [[-1.0], [0.0], [1.5]], edges)
-        assert np.array_equal(flat.transition, rows.transition)
+    @pytest.mark.parametrize(
+        "conditionals, edges, match",
+        [
+            (
+                DiagonalGaussian([[0.0]], [[1.0]]),
+                [[-1.0, np.nan, 1.0]],
+                "bin edges must be strictly increasing",
+            ),
+            (
+                DiagonalGaussian([0.0], [1.0]),
+                [[-1.0, 1.0]],
+                "conditionals must be a stack",
+            ),
+        ],
+        ids=["edge_nan", "single_gaussian"],
+    )
+    def test_bad_input_rejected(self, conditionals, edges, match):
+        with pytest.raises(ValueError, match=match):
+            discretize_dynamics(conditionals, edges)
 
     def test_rows_sum_to_one_exactly(self):
         model = shift_model(sigma=0.7)
         edges = [np.linspace(-3, 3, 12)]
-        ch = discretize_dynamics(model, [0.0], [[-1.0], [0.0], [1.0]], edges)
+        ch = discretize_dynamics(model.conditional([0.0], [[-1.0], [0.0], [1.0]]), edges)
         np.testing.assert_allclose(ch.transition.sum(axis=1), 1.0, atol=1e-14)
 
     def test_mean_on_center_edge_splits_mass_evenly(self):
         model = shift_model(sigma=0.5)
         # mean lands exactly on the shared edge of two wide bins
-        ch = discretize_dynamics(model, [0.0], [[0.0]], [[-10.0, 0.0, 10.0]])
+        ch = discretize_dynamics(model.conditional([0.0], [[0.0]]), [[-10.0, 0.0, 10.0]])
         np.testing.assert_allclose(ch.transition[0], [0.5, 0.5], atol=1e-12)
 
     def test_bin_mass_matches_normal_cdf(self):
@@ -625,7 +634,7 @@ class TestDiscretizeDynamics:
         sigma = 0.4
         model = shift_model(sigma)
         edges = np.linspace(-2, 2, 9)
-        ch = discretize_dynamics(model, [0.0], [[0.3]], [edges])
+        ch = discretize_dynamics(model.conditional([0.0], [[0.3]]), [edges])
         interior = norm.cdf(edges[1:], loc=0.3, scale=sigma) - norm.cdf(
             edges[:-1], loc=0.3, scale=sigma
         )
@@ -638,24 +647,25 @@ class TestDiscretizeDynamics:
     def test_tiny_variance_concentrates_in_one_bin(self):
         model = shift_model(sigma=1e-6)
         edges = [np.linspace(-3, 3, 13)]  # 12 bins of width 0.5
-        ch = discretize_dynamics(model, [0.0], [[0.75]], edges)
+        ch = discretize_dynamics(model.conditional([0.0], [[0.75]]), edges)
         assert ch.transition[0].max() == pytest.approx(1.0, abs=1e-9)
         # mean 0.75 sits in bin [0.5, 1.0)
         assert np.argmax(ch.transition[0]) == 7
 
     def test_empty_action_grid_rejected(self):
+        # an empty grid gives no stack to bin
         with pytest.raises(ValueError):
-            discretize_dynamics(shift_model(), [0.0], [], [[-1.0, 1.0]])
+            shift_model().conditional([0.0], np.empty((0, 1)))
 
     def test_non_monotone_edges_rejected(self):
+        stack = shift_model().conditional([0.0], [[0.0]])
         with pytest.raises(ValueError):
-            discretize_dynamics(shift_model(), [0.0], [[0.0]], [[1.0, 0.0]])
+            discretize_dynamics(stack, [[1.0, 0.0]])
 
     def test_edge_count_must_match_state_dim(self):
+        stack = shift_model().conditional([0.0], [[0.0]])
         with pytest.raises(ValueError):
-            discretize_dynamics(
-                shift_model(), [0.0], [[0.0]], [[-1.0, 1.0], [-1.0, 1.0]]
-            )
+            discretize_dynamics(stack, [[-1.0, 1.0], [-1.0, 1.0]])
 
 
 class TestOracleEmpowerment:
@@ -688,6 +698,41 @@ class TestOracleEmpowerment:
         assert cap <= 0.5 * np.log(1 + amp**2 / sigma**2) + 1e-9
         assert cap > 0.5 * np.log(1 + amp**2 / sigma**2) - np.log(2)
 
+    @pytest.mark.parametrize("case", ["ac5_state", "shift_1d", "mixing_3d"])
+    def test_bins_its_conditionals_six_sigma_past_the_means(self, monkeypatch, case):
+        """The stack handed to ``discretize_dynamics`` is the conditionals of
+        the action grid, and each dimension's edges span the means padded by
+        six of that dimension's largest standard deviation, bit for bit as a
+        per-action, per-dimension loop places them."""
+        if case == "ac5_state":
+            model = build_pendulum_dynamics(PendulumParams())
+            state, n, bins = [-np.pi / 2, -4.0], 64, 41
+        elif case == "shift_1d":
+            model, state, n, bins = shift_model(0.7), [0.2], 9, 15
+        else:
+            model, state, n, bins = mixing_model(), [0.5, -1.0, 0.3], 5, 7
+        discretize_ = empkit.channel.discretize_dynamics
+        seen = []
+
+        def recording_discretize(conditionals, state_bins):
+            seen.append((conditionals, state_bins))
+            return discretize_(conditionals, state_bins)
+
+        monkeypatch.setattr(empkit.channel, "discretize_dynamics", recording_discretize)
+        oracle_empowerment(model, state, n_actions=n, bins=bins)
+        [(stack, edges)] = seen
+        acts = np.linspace(-4.0, 4.0, n)
+        conds = [model.conditional(state, [a]) for a in acts]
+        means = np.array([g.mean for g in conds])
+        variances = np.array([g.variance for g in conds])
+        assert np.array_equal(stack.mean, means)
+        assert np.array_equal(stack.variance, variances)
+        assert len(edges) == model.state_dim
+        for d in range(model.state_dim):
+            pad = 6.0 * np.sqrt(variances[:, d]).max()
+            expected = np.linspace(means[:, d].min() - pad, means[:, d].max() + pad, bins + 1)
+            assert np.array_equal(edges[d], expected)
+
     @pytest.mark.parametrize(
         "state, kwargs, match",
         [
@@ -700,10 +745,6 @@ class TestOracleEmpowerment:
             ([0.0, 0.0], {"bins": 41.0}, "bins must be an integer"),
             ([0.0, 0.0], {"n_actions": True, "bins": 5}, "n_actions must be an integer"),
             ([0.0, 0.0], {"bins": True}, "bins must be an integer"),
-            ([0.0, 0.0], {"pad_sigma": -1.0}, "pad_sigma must be a positive finite number"),
-            ([0.0, 0.0], {"pad_sigma": np.inf}, "pad_sigma must be a positive finite number"),
-            ([0.0, 0.0], {"pad_sigma": "6"}, "pad_sigma must be a positive finite number"),
-            ([0.0, 0.0], {"pad_sigma": True}, "pad_sigma must be a positive finite number"),
             ([0.0, 0.0], {"action_range": np.nan}, "action_range must be a positive finite"),
             ([0.0, 0.0], {"action_range": "4"}, "action_range must be a positive finite"),
             ([0.0, 0.0], {"action_range": 0}, "action_range must be a positive finite"),
@@ -726,10 +767,6 @@ class TestOracleEmpowerment:
             "bins_float",
             "n_actions_bool",
             "bins_bool",
-            "pad_sigma_negative",
-            "pad_sigma_inf",
-            "pad_sigma_str",
-            "pad_sigma_bool",
             "action_range_nan",
             "action_range_str",
             "action_range_zero",

@@ -549,12 +549,12 @@ def mixed_tag_model():
     l1 = LayerSpec(
         rng.normal(size=(5, 4)),
         rng.normal(size=5),
-        ("tanh", "sine", "tanh", "identity", "square"),
+        ("tanh", "sine", "tanh", "identity", "sine"),
     )
     l2 = LayerSpec(
         0.3 * rng.normal(size=(4, 5)),
         rng.normal(size=4),
-        ("identity", "cosine", "tanh", "identity"),
+        ("identity", "sine", "tanh", "identity"),
     )
     return DynamicsModel(FeedforwardNet((l1, l2)), state_dim=2, action_dim=2)
 

@@ -69,7 +69,7 @@ class TestLayerSpec:
     def test_repeated_tags_apply_per_unit(self):
         # a tag recurring after another one: each unit still gets its own
         # function and derivatives, on a batch with a leading lane axis
-        tags = ("sine", "identity", "identity", "sine", "tanh", "square")
+        tags = ("sine", "identity", "identity", "sine", "tanh", "identity")
         layer = LayerSpec(np.eye(6), np.zeros(6), tags)
         z = np.random.default_rng(4).normal(size=(3, 5, 6))
         f, df, d2f = layer.act_all(z)

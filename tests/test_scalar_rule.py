@@ -89,7 +89,7 @@ BOUNDARIES = {
         "blahut_arimoto.tol": ("tol", _kw(blahut_arimoto, "tol", CHANNEL)),
         **{
             f"oracle_empowerment.{n}": (n, _oracle(n))
-            for n in ("action_range", "pad_sigma", "tol")
+            for n in ("action_range", "tol")
         },
         **{
             f"PendulumParams.{n}": (n, _kw(PendulumParams, n))

@@ -17,6 +17,7 @@ import numpy as np
 import empkit.channel
 import empkit.empowerment
 from empkit import (
+    DynamicsModel,
     OptimizerOptions,
     PendulumParams,
     build_pendulum_dynamics,
@@ -58,8 +59,10 @@ def test_select_action_estimates_each_candidate_through_maximize_empowerment(
 
 
 def test_oracle_discretizes_and_runs_blahut_arimoto_once(monkeypatch):
+    conditional = count_calls(monkeypatch, DynamicsModel, "conditional")
     discretize = count_calls(monkeypatch, empkit.channel, "discretize_dynamics")
     ba = count_calls(monkeypatch, empkit.channel, "blahut_arimoto")
     oracle_empowerment(MODEL, [0.0, 0.0], n_actions=8, bins=11)
+    assert len(conditional) == 1
     assert len(discretize) == 1
     assert len(ba) == 1
