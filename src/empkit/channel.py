@@ -194,6 +194,8 @@ def discretize_dynamics(conditionals: DiagonalGaussian, state_bins) -> DiscreteC
     """
     if conditionals.mean.ndim != 2:
         raise ValueError("conditionals must be a stack, one row per action")
+    if not (conditionals.variance > 0).all():
+        raise ValueError("conditionals must have positive variances")
     edges = [np.asarray(e, dtype=float) for e in state_bins]
     for e in edges:
         if e.ndim != 1 or e.size < 2 or not (np.diff(e) > 0).all():

@@ -26,7 +26,6 @@ from .empowerment import (
     maximize_empowerment,
     select_action,
 )
-from .nets import forward_point
 from .pendulum import PendulumState, build_pendulum_dynamics
 
 
@@ -177,7 +176,7 @@ def cmd_rollout(config: RunConfig, start, steps: int) -> int:
                  _fmt(action[0]), _fmt(value)]
             )
             # advance on the deterministic mean dynamics of the model
-            y = forward_point(model.net, np.concatenate([state.as_vector(), action]))
+            y = model.conditional(state.as_vector(), action).mean
             state = PendulumState(y[0], y[1])
     print(f"wrote {out / 'rollout.csv'}")
     return 0

@@ -26,7 +26,6 @@ from .nets import (
     _check_real,
     _fused_backprop,
     _fused_trace,
-    forward_point,
 )
 
 __all__ = [
@@ -465,20 +464,18 @@ def maximize_empowerment(
 def select_action(model: DynamicsModel, state, candidates, opts: OptimizerOptions):
     """One-step greedy action choice.
 
-    Predicts the next-state mean for each candidate action and returns the
-    candidate whose predicted state has the highest empowerment, together
-    with that value.  Ties break toward the lowest candidate index.
+    Predicts all candidates' next-state means with one ``model.conditional``
+    call and returns the one whose predicted state has the highest
+    empowerment, with that value.  Ties break toward the lowest index.
     """
     state = _as_vector(state, model.state_dim, "state")
     cands = [_as_vector(a, model.action_dim, "candidate action") for a in candidates]
     if not cands:
         raise ValueError("candidates must be non-empty")
-    d = model.state_dim
     best_a = None
     best_v = -np.inf
-    for a in cands:
-        y = forward_point(model.net, np.concatenate([state, a]))
-        est = maximize_empowerment(model, y[:d], opts)
+    for a, mean in zip(cands, model.conditional(state, cands).mean):
+        est = maximize_empowerment(model, mean, opts)
         if est.value > best_v:
             best_a, best_v = a, est.value
     return best_a, best_v

@@ -11,7 +11,8 @@ elementwise activation.  Two evaluation modes exist:
 
 Activations may be a single tag applied to the whole layer or a per-unit
 list of tags; the latter is needed to express mixed branches (e.g. a sine
-branch next to pass-through units) in a single layer.
+branch next to pass-through units) in a single layer.  An ``identity``
+unit has no activation: the layer passes its affine output through.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ __all__ = [
 VAR_FLOOR = 1e-8
 
 
-def _identity_all(z):
-    return z, np.ones(z.shape), np.zeros(z.shape)
-
-
 def _tanh_all(z):
     t = np.tanh(z)
     d = 1.0 - t * t
@@ -51,9 +48,8 @@ def _sine_all(z):
     return s, np.cos(z), -s
 
 
-# tag -> (f, z -> (f, f', f'') computed together)
+# tag -> (f, z -> (f, f', f'') computed together); identity has no entry
 _ACT = {
-    "identity": (lambda z: z, _identity_all),
     "tanh": (np.tanh, _tanh_all),
     "sine": (np.sin, _sine_all),
 }
@@ -64,13 +60,13 @@ class LayerSpec:
     """One affine + activation layer.
 
     ``activation`` is either a single tag (applied to every unit) or a
-    sequence of tags, one per output unit.
+    sequence of tags, one per output unit.  ``"identity"`` units have no
+    activation; only the runs of other tags are stored and applied.
     """
 
     weights: np.ndarray
     bias: np.ndarray
     activation: object = "identity"
-    tags: tuple = field(init=False, repr=False, compare=False)
     _runs: tuple = field(init=False, repr=False, compare=False)
     _linear: bool = field(init=False, repr=False, compare=False)
     _weights_sq: np.ndarray = field(init=False, repr=False, compare=False)
@@ -93,14 +89,15 @@ class LayerSpec:
             if len(tags) != w.shape[0]:
                 raise ValueError("per-unit activation list must match output dim")
         for t in tags:
-            if t not in _ACT:
+            if t != "identity" and t not in _ACT:
                 raise ValueError(f"unknown activation tag: {t!r}")
-        # runs of equal adjacent tags: each is applied to a basic slice (a
-        # view), one call per run
+        # runs of equal adjacent non-identity tags: each is applied to a
+        # basic slice (a view), one call per run
         runs, start = [], 0
         for t, unit_tags in itertools.groupby(tags):
             stop = start + len(list(unit_tags))
-            runs.append((t, slice(start, stop)))
+            if t != "identity":
+                runs.append((t, slice(start, stop)))
             start = stop
         w.setflags(write=False)
         b.setflags(write=False)
@@ -108,9 +105,8 @@ class LayerSpec:
         w_sq.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
-        object.__setattr__(self, "tags", tags)
         object.__setattr__(self, "_runs", tuple(runs))
-        object.__setattr__(self, "_linear", set(tags) == {"identity"})
+        object.__setattr__(self, "_linear", not runs)
         object.__setattr__(self, "_weights_sq", w_sq)
 
     @property
@@ -123,18 +119,14 @@ class LayerSpec:
 
     def act(self, z: np.ndarray) -> np.ndarray:
         """Apply f elementwise."""
-        if len(self._runs) == 1:
-            return _ACT[self.tags[0]][0](z)
-        out = np.empty_like(z)
+        out = z.copy()
         for tag, units in self._runs:
             out[..., units] = _ACT[tag][0](z[..., units])
         return out
 
     def act_all(self, z: np.ndarray):
         """(f, f', f'') elementwise, one call per run of equal tags."""
-        if len(self._runs) == 1:
-            return _ACT[self.tags[0]][1](z)
-        f, df, d2f = np.empty((3,) + z.shape)
+        f, df, d2f = z.copy(), np.ones(z.shape), np.zeros(z.shape)
         for tag, units in self._runs:
             f[..., units], df[..., units], d2f[..., units] = _ACT[tag][1](
                 z[..., units]
@@ -202,10 +194,10 @@ def _as_rows(x, dim: int, what: str) -> np.ndarray:
         rows = np.asarray(x, dtype=float)
     except (TypeError, ValueError):
         raise invalid from None
+    if rows.size == 0:
+        raise ValueError(f"{what} must be non-empty")
     if rows.ndim < 2:
         rows = np.atleast_1d(rows)[None]
-    if len(rows) == 0:
-        raise ValueError(f"{what} must be non-empty")
     if rows.ndim != 2 or rows.shape[1] != dim or not np.isfinite(rows).all():
         raise invalid
     return rows
@@ -225,6 +217,8 @@ class DynamicsModel:
     action_dim: int
 
     def __post_init__(self):
+        _check_int("state_dim", self.state_dim)
+        _check_int("action_dim", self.action_dim)
         if self.net.in_dim != self.state_dim + self.action_dim:
             raise ValueError("net input dim must equal state_dim + action_dim")
         if self.net.out_dim != 2 * self.state_dim:

@@ -252,7 +252,7 @@ class TestConditional:
             ("shift", [0.0], [[0.0, 1.0]], "action entry must be a finite vector of length 1"),
             ("shift", [0.0], [[np.nan]], "action entry must be a finite vector of length 1"),
             ("shift", [0.0], [[0.0], [0.0, 1.0]], "action entry must be a finite"),
-            ("shift", [0.0], [], "action entry must be a finite vector of length 1"),
+            ("shift", [0.0], [], "action must be non-empty"),
             ("pendulum", [0, 0], [[0.0], [0.0, 1.0]], "action entry must be a finite"),
         ],
         ids=["state_nan", "state_length", "action_length", "batch_width", "batch_inf",
@@ -609,8 +609,14 @@ class TestDiscretizeDynamics:
                 [[-1.0, 1.0]],
                 "conditionals must be a stack",
             ),
+            (
+                # the zero-variance mean sits on an edge: 0/0 if binned
+                DiagonalGaussian([[0.0, 0.0], [1.0, 0.5]], [[1.0, 0.0], [1.0, 1.0]]),
+                [np.linspace(-2, 2, 5)] * 2,
+                "conditionals must have positive variances",
+            ),
         ],
-        ids=["edge_nan", "single_gaussian"],
+        ids=["edge_nan", "single_gaussian", "zero_variance"],
     )
     def test_bad_input_rejected(self, conditionals, edges, match):
         with pytest.raises(ValueError, match=match):

@@ -46,7 +46,7 @@ class TestLayerSpec:
         w, b = np.array(layer.weights), np.array(layer.bias)
         (w if where == "weights" else b)[0] = value
         with pytest.raises(ValueError, match="weights and bias must be finite"):
-            LayerSpec(w, b, layer.tags)
+            LayerSpec(w, b, layer.activation)
 
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError):
@@ -76,9 +76,10 @@ class TestLayerSpec:
         np.testing.assert_array_equal(layer.act(z), f)
         for u, tag in enumerate(tags):
             single = LayerSpec([[1.0]], [0.0], tag)
-            np.testing.assert_array_equal(f[..., u], single.act(z[..., u]))
-            for got, want in zip((f, df, d2f), single.act_all(z[..., u])):
-                np.testing.assert_array_equal(got[..., u], want)
+            unit = z[..., u : u + 1]
+            np.testing.assert_array_equal(f[..., u : u + 1], single.act(unit))
+            for got, want in zip((f, df, d2f), single.act_all(unit)):
+                np.testing.assert_array_equal(got[..., u : u + 1], want)
 
     def test_chaining_checked(self):
         a = LayerSpec(np.ones((2, 3)), np.zeros(2))

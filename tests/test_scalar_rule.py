@@ -50,6 +50,10 @@ def _oracle(name):
     return _kw(oracle_empowerment, name, PENDULUM, [0.0, 0.0])
 
 
+def _net(n_in, n_out):
+    return FeedforwardNet((LayerSpec(np.zeros((n_out, n_in)), np.zeros(n_out)),))
+
+
 # kind -> label -> (argument name in the error message, call with the scalar)
 BOUNDARIES = {
     "count": {
@@ -72,6 +76,14 @@ BOUNDARIES = {
         "mi_lower_bound.seed": (
             "seed",
             lambda v: mi_lower_bound(SHIFT, [0.0], POLICY, 8, v),
+        ),
+        "DynamicsModel.state_dim": (
+            "state_dim",
+            lambda v: DynamicsModel(_net(4, 6), state_dim=v, action_dim=1),
+        ),
+        "DynamicsModel.action_dim": (
+            "action_dim",
+            lambda v: DynamicsModel(_net(4, 2), state_dim=1, action_dim=v),
         ),
         **{
             f"RunConfig.{n}": (n, _kw(RunConfig, n))
@@ -186,3 +198,12 @@ def test_every_boundary_of_a_kind_agrees(monkeypatch, kind, value, accepted):
         for label, (name, call) in BOUNDARIES[kind].items()
     }
     assert got == dict.fromkeys(BOUNDARIES[kind], want)
+
+
+@pytest.mark.parametrize(
+    "state_dim, action_dim", [(True, 2), (1.0, 2.0)], ids=["bool", "float"]
+)
+def test_dynamics_model_dims_must_be_integers(state_dim, action_dim):
+    # both sum to the 3-in/2-out net's sizes, so only the type check rejects them
+    with pytest.raises(ValueError, match="state_dim must be an integer"):
+        DynamicsModel(_net(3, 2), state_dim=state_dim, action_dim=action_dim)

@@ -53,9 +53,12 @@ def test_select_action_estimates_each_candidate_through_maximize_empowerment(
     monkeypatch,
 ):
     calls = count_calls(monkeypatch, empkit.empowerment, "maximize_empowerment")
+    conditional = count_calls(monkeypatch, DynamicsModel, "conditional")
     candidates = [[-2.0], [0.0], [2.0]]
     select_action(MODEL, [np.pi, 0.0], candidates, QUICK)
     assert len(calls) == len(candidates)
+    # every candidate's next-state mean comes from one conditional call
+    assert len(conditional) == 1
 
 
 def test_oracle_discretizes_and_runs_blahut_arimoto_once(monkeypatch):
