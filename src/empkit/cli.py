@@ -5,8 +5,10 @@ Subcommands:
     empkit compare-oracle --config <path> --states <n> [--out <dir>] [--seed <n>]
     empkit rollout        --config <path> --start <angle,velocity> --steps <n>
 
-Exit codes: 0 success, 1 I/O failure, 2 configuration or usage error.
-All outputs are deterministic for a fixed (config, seed).
+Exit codes: 0 success; 1 I/O failure, or an estimate whose every restart
+diverged (``landscape`` instead writes such a cell as an empty field);
+2 configuration or usage error.  All outputs are deterministic for a fixed
+(config, seed).
 """
 
 from __future__ import annotations
@@ -51,32 +53,39 @@ def _write_pgm(path: Path, values: np.ndarray) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def cmd_landscape(config: RunConfig) -> int:
-    model = build_pendulum_dynamics(config.pendulum_params())
-    states = config.grid_states()
+def _out_dir(config: RunConfig) -> Path:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results = empowerment_landscape(model, states, config.optimizer_options())
+    return out
 
-    values = np.full(len(results), np.nan)
-    with open(out / "landscape.csv", "w", newline="") as fh:
+
+def _write_csv(path: Path, header, rows) -> Path:
+    """Write ``header`` and then each row as ``rows`` yields it."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["angle", "velocity", "empowerment_nats", "converged"])
-        for i, (s, est) in enumerate(results):
-            ok = est is not None
-            if ok:
-                values[i] = est.value
-            writer.writerow(
-                [_fmt(s[0]), _fmt(s[1]), _fmt(est.value) if ok else "",
-                 "true" if ok and est.converged else "false"]
-            )
-    failures = sum(est is None for _, est in results)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def cmd_landscape(config: RunConfig, model, args) -> list:
+    states = config.grid_states()
+    out = _out_dir(config)
+    results = empowerment_landscape(model, states, config.optimizer_options())
+    header = ["angle", "velocity", "empowerment_nats", "converged"]
+    rows = (
+        [_fmt(s[0]), _fmt(s[1]), "" if est is None else _fmt(est.value),
+         "true" if est is not None and est.converged else "false"]
+        for s, est in results
+    )
+    path = _write_csv(out / "landscape.csv", header, rows)
+    values = np.array([np.nan if est is None else est.value for _, est in results])
     grid = values.reshape(config.velocity_count, config.angle_count)
     _write_pgm(out / "landscape.pgm", grid)
+    failures = sum(est is None for _, est in results)
     if failures:
         print(f"warning: {failures} grid cells failed to optimize", file=sys.stderr)
-    print(f"wrote {out / 'landscape.csv'} and {out / 'landscape.pgm'}")
-    return 0
+    return [path, out / "landscape.pgm"]
 
 
 def _median_ms(fn, reps: int = 3):
@@ -95,25 +104,19 @@ def _spearman(x, y) -> float:
     return float(spearmanr(x, y).statistic)
 
 
-def cmd_compare_oracle(config: RunConfig, n_states: int) -> int:
-    if n_states < 2:
+def cmd_compare_oracle(config: RunConfig, model, args) -> list:
+    if args.states < 2:
         raise ValueError("need at least 2 states to compare")
-    model = build_pendulum_dynamics(config.pendulum_params())
     grid = config.grid_states()
-    if n_states > len(grid):
+    if args.states > len(grid):
         raise ValueError("more states requested than grid cells")
     rng = np.random.default_rng(config.seed)
-    idx = rng.choice(len(grid), size=n_states, replace=False)
+    idx = rng.choice(len(grid), size=args.states, replace=False)
     states = [grid[i] for i in idx]
-
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(config)
     eff_vals, orc_vals, speedups = [], [], []
-    with open(out / "compare.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["angle", "velocity", "efficient_nats", "oracle_nats", "efficient_ms", "oracle_ms"]
-        )
+
+    def rows():
         for i, s in enumerate(states):
             opts = config.optimizer_options(seed=config.seed + i)
             est, t_eff = _median_ms(lambda: maximize_empowerment(model, s, opts))
@@ -132,10 +135,13 @@ def cmd_compare_oracle(config: RunConfig, n_states: int) -> int:
                 eff_vals.append(est.value)
                 orc_vals.append(orc.capacity)
                 speedups.append(t_orc / t_eff)
-            writer.writerow(
-                [_fmt(s[0]), _fmt(s[1]), _fmt(est.value),
-                 _fmt(orc.capacity) if orc.converged else "", _fmt(t_eff), _fmt(t_orc)]
-            )
+            yield [_fmt(s[0]), _fmt(s[1]), _fmt(est.value),
+                   _fmt(orc.capacity) if orc.converged else "",
+                   _fmt(t_eff), _fmt(t_orc)]
+
+    header = ["angle", "velocity", "efficient_nats", "oracle_nats",
+              "efficient_ms", "oracle_ms"]
+    path = _write_csv(out / "compare.csv", header, rows())
     if len(orc_vals) >= 2:
         rho = _spearman(eff_vals, orc_vals)
         print(f"spearman_rank_correlation {rho:.4f}")
@@ -146,60 +152,53 @@ def cmd_compare_oracle(config: RunConfig, n_states: int) -> int:
             "no summary statistics",
             file=sys.stderr,
         )
-    print(f"wrote {out / 'compare.csv'}")
-    return 0
+    return [path]
 
 
-def cmd_rollout(config: RunConfig, start, steps: int) -> int:
-    if steps < 1:
+def cmd_rollout(config: RunConfig, model, args) -> list:
+    try:
+        angle, velocity = map(float, args.start.split(","))
+    except ValueError:
+        raise ValueError("--start must be angle,velocity") from None
+    if args.steps < 1:
         raise ValueError("steps must be >= 1")
-    params = config.pendulum_params()
-    model = build_pendulum_dynamics(params)
-    candidates = [
-        np.array([-params.max_torque]),
-        np.array([0.0]),
-        np.array([params.max_torque]),
-    ]
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    state = PendulumState(start[0], start[1])
-    with open(out / "rollout.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "angle", "velocity", "action", "empowerment_nats"])
-        for t in range(steps):
+    state = PendulumState(angle, velocity)
+    torque = config.pendulum_params().max_torque
+    candidates = [np.array([-torque]), np.array([0.0]), np.array([torque])]
+    out = _out_dir(config)
+
+    def rows(state):
+        for t in range(args.steps):
             opts = config.optimizer_options(seed=config.seed + t)
-            action, value = select_action(
-                model, state.as_vector(), candidates, opts
-            )
-            writer.writerow(
-                [t, _fmt(state.angle), _fmt(state.angular_velocity),
-                 _fmt(action[0]), _fmt(value)]
-            )
+            action, value = select_action(model, state.as_vector(), candidates, opts)
+            yield [t, _fmt(state.angle), _fmt(state.angular_velocity),
+                   _fmt(action[0]), _fmt(value)]
             # advance on the deterministic mean dynamics of the model
             y = model.conditional(state.as_vector(), action).mean
             state = PendulumState(y[0], y[1])
-    print(f"wrote {out / 'rollout.csv'}")
-    return 0
+
+    header = ["t", "angle", "velocity", "action", "empowerment_nats"]
+    return [_write_csv(out / "rollout.csv", header, rows(state))]
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="empkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, run, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--config", default=None, help="path to a flat JSON config")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="global seed override")
+        return p
 
-    p = sub.add_parser("landscape", help="empowerment over a state grid")
-    common(p)
-
-    p = sub.add_parser("compare-oracle", help="efficient estimator vs Blahut-Arimoto")
-    common(p)
+    command("landscape", cmd_landscape, "empowerment over a state grid")
+    p = command(
+        "compare-oracle", cmd_compare_oracle, "efficient estimator vs Blahut-Arimoto"
+    )
     p.add_argument("--states", type=int, required=True, help="number of states")
-
-    p = sub.add_parser("rollout", help="greedy empowerment-seeking rollout")
-    common(p)
+    p = command("rollout", cmd_rollout, "greedy empowerment-seeking rollout")
     p.add_argument("--start", required=True, help="start state as angle,velocity")
     p.add_argument("--steps", type=int, required=True)
     return parser
@@ -215,27 +214,16 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.command == "landscape":
-            return cmd_landscape(config)
-        if args.command == "compare-oracle":
-            return cmd_compare_oracle(config, args.states)
-        if args.command == "rollout":
-            try:
-                start = [float(v) for v in args.start.split(",")]
-                if len(start) != 2:
-                    raise ValueError
-            except ValueError:
-                print("configuration error: --start must be angle,velocity",
-                      file=sys.stderr)
-                return 2
-            return cmd_rollout(config, start, args.steps)
-    except OSError as exc:
+        model = build_pendulum_dynamics(config.pendulum_params())
+        written = args.run(config, model, args)
+    except (OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
+    print("wrote " + " and ".join(map(str, written)))
+    return 0
 
 
 if __name__ == "__main__":

@@ -421,22 +421,25 @@ def maximize_empowerment(
 
     results = [None] * opts.restarts  # (best, iterations) per finished restart
     live = list(range(opts.restarts))
-    while live:
-        X = np.array([trials[r] for r in live])
-        value, gmean, glog, ok = _mi_core(
-            model, state, X[:, :k], X[:, k:], eps[live], True
-        )
-        grad = np.concatenate([gmean, glog], axis=1)
-        running = []
-        for r, v, g, c in zip(live, value.tolist(), grad, ok.tolist()):
-            try:
-                trials[r] = ascents[r].send((v, g, c))
-                running.append(r)
-            except StopIteration as finished:
-                results[r] = finished.value
-            except FloatingPointError:
-                pass  # non-finite objective: the restart failed
-        live = running
+    # a diverging restart fails through its non-finite value, whatever the
+    # warnings filter says about the arithmetic that produced it
+    with np.errstate(all="ignore"):
+        while live:
+            X = np.array([trials[r] for r in live])
+            value, gmean, glog, ok = _mi_core(
+                model, state, X[:, :k], X[:, k:], eps[live], True
+            )
+            grad = np.concatenate([gmean, glog], axis=1)
+            running = []
+            for r, v, g, c in zip(live, value.tolist(), grad, ok.tolist()):
+                try:
+                    trials[r] = ascents[r].send((v, g, c))
+                    running.append(r)
+                except StopIteration as finished:
+                    results[r] = finished.value
+                except FloatingPointError:
+                    pass  # non-finite objective: the restart failed
+            live = running
 
     best = None
     failures = 0

@@ -1,12 +1,18 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import empkit
+import empkit.cli as cli
 from empkit import OptimizerOptions, PendulumParams
 from empkit.cli import main
 from empkit.config import RunConfig, load_config
@@ -182,6 +188,16 @@ class TestCompareOracleCommand:
             assert float(row[4]) > 0.0
             assert float(row[5]) > 0.0
 
+    def test_unconverged_oracle_gives_no_summary(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, oracle_actions=16, oracle_bins=11,
+                           oracle_max_iter=1)
+        assert main(["compare-oracle", "--config", str(cfg), "--states", "4"]) == 0
+        captured = capsys.readouterr()
+        assert "spearman_rank_correlation" not in captured.out
+        assert "oracle converged on fewer than 2 states" in captured.err
+        rows = read_csv(tmp_path / "out" / "compare.csv")
+        assert len(rows) == 1 + 4
+        assert all(row[3] == "" for row in rows[1:])
 
     @pytest.mark.slow
     @pytest.mark.xfail(
@@ -247,15 +263,59 @@ class TestExitCodes:
             main(["selfcheck"])
         assert exc.value.code == 2
 
-    def test_unwritable_out_fails_before_the_sweep(self, tmp_path, monkeypatch):
-        import empkit.cli as cli
-
+    @pytest.mark.parametrize(
+        "estimator, argv",
+        [
+            ("empowerment_landscape", ["landscape"]),
+            ("maximize_empowerment", ["compare-oracle", "--states", "2"]),
+            ("select_action", ["rollout", "--start", "0,0", "--steps", "1"]),
+        ],
+    )
+    def test_unwritable_out_fails_before_the_sweep(
+        self, tmp_path, monkeypatch, estimator, argv
+    ):
         calls = []
-        monkeypatch.setattr(
-            cli, "empowerment_landscape", lambda *a, **k: calls.append(a) or []
-        )
+        monkeypatch.setattr(cli, estimator, lambda *a, **k: calls.append(a))
         blocker = tmp_path / "file"
         blocker.write_text("")
         cfg = write_config(tmp_path)
-        assert main(["landscape", "--config", str(cfg), "--out", str(blocker)]) == 1
+        assert main([*argv, "--config", str(cfg), "--out", str(blocker)]) == 1
         assert calls == []
+
+
+class TestDivergingEstimate:
+    """A noise scale of 1e-200 makes every restart's objective non-finite."""
+
+    def test_landscape_writes_empty_cells(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, noise_std=[1e-200, 1e-200])
+        assert main(["landscape", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == "warning: 4 grid cells failed to optimize\n"
+        rows = read_csv(tmp_path / "out" / "landscape.csv")
+        assert len(rows) == 1 + 4
+        assert all(row[2:] == ["", "false"] for row in rows[1:])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare-oracle", "--states", "2"],
+            ["rollout", "--start", "0,0", "--steps", "2"],
+        ],
+    )
+    def test_estimate_is_an_error(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, noise_std=[1e-200, 1e-200])
+        assert main([*argv, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: all 2 restarts diverged\n"
+
+    def test_console_script_exits_without_traceback(self, tmp_path):
+        cfg = write_config(tmp_path, noise_std=[1e-200, 1e-200])
+        src = str(Path(empkit.__file__).parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "empkit.cli", "rollout", "--config", str(cfg),
+             "--start", "0,0", "--steps", "2"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr

@@ -506,9 +506,8 @@ class TestMaximizeEmpowerment:
         # the objective is NaN at every restart's first iterate
         layer = LayerSpec([[1.0, 1.0], [0.0, 0.0]], [0.0, 1e300])
         model = DynamicsModel(FeedforwardNet((layer,)), 1, 1)
-        with np.errstate(all="ignore"):
-            with pytest.raises(RuntimeError, match="all 4 restarts diverged"):
-                maximize_empowerment(model, [0.0], OptimizerOptions(restarts=4))
+        with pytest.raises(RuntimeError, match="all 4 restarts diverged"):
+            maximize_empowerment(model, [0.0], OptimizerOptions(restarts=4))
 
     def test_failed_restart_leaves_the_others_unchanged(self, monkeypatch):
         # NaN in restart 2's initial-mean row makes its objective non-finite
@@ -525,8 +524,7 @@ class TestMaximizeEmpowerment:
             return draw
 
         monkeypatch.setattr(empkit.empowerment, "_draw_eps", poisoned)
-        with np.errstate(invalid="ignore"):
-            est = maximize_empowerment(PENDULUM, state, opts)
+        est = maximize_empowerment(PENDULUM, state, opts)
         assert est.restarts_failed == 1
         winner = mi_lower_bound(PENDULUM, state, est.policy, 32, opts.seed + 3)
         assert winner == est.value
