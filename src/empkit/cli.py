@@ -98,10 +98,18 @@ def _median_ms(fn, reps: int = 3):
     return result, float(np.median(times))
 
 
-def _spearman(x, y) -> float:
-    from scipy.stats import spearmanr
+def _ranks(v) -> np.ndarray:
+    """Ranks 1..n of ``v``; tied values share the mean of their ranks."""
+    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)
+    return (last - 0.5 * (counts - 1))[inverse]
 
-    return float(spearmanr(x, y).statistic)
+
+def _spearman(x, y) -> float:
+    """Spearman's rho, the Pearson correlation of the ranks; NaN when
+    either input is constant."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return float(np.corrcoef(_ranks(x), _ranks(y))[0, 1])
 
 
 def cmd_compare_oracle(config: RunConfig, model, args) -> list:

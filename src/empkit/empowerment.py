@@ -296,6 +296,11 @@ def _ascend(x, opts):
     of its projected gradient, or None when no iterate was consistent.
     Raises FloatingPointError on a non-finite objective.
 
+    Each trial step starts at unit length or shorter: the steepest step is
+    the projected gradient scaled to length 1, and a quasi-Newton step
+    longer than 1 is scaled down to length 1.  Armijo backtracking halves
+    it from there.
+
     Points, the clamp, the projection and the steps are lists of Python
     floats: on 2k entries a numpy call costs more than its arithmetic.
     Inner products and the BFGS matrix products stay numpy calls, because
@@ -338,12 +343,17 @@ def _ascend(x, opts):
             ]
             if g.dot(np.array(d)) <= 0.0:
                 d = None
+            else:
+                # no trial step is longer than the steepest step's unit
+                scale = max(1.0, math.hypot(*d))
+                d = [di / scale for di in d]
         if d is None:
-            # steepest step of at most unit length: on the way to the upper
-            # log-std clamp the objective is convex, no curvature pair is
-            # accepted there, and a short step would crawl to the clamp
-            pga = np.array(pg)
-            scale = max(1.0, math.sqrt(pga.dot(pga)))
+            # steepest step of unit length: on the way to the upper log-std
+            # clamp the objective is convex, no curvature pair is accepted
+            # there, and a step as short as the gradient would crawl to the
+            # clamp.  The loop runs only while |pg| >= grad_tol > 0, and
+            # hypot neither underflows nor overflows, so scale > 0.
+            scale = math.hypot(*pg)
             d = [p / scale for p in pg]
         t = 1.0
         for _ in range(_MAX_BACKTRACKS):

@@ -171,6 +171,31 @@ class TestLandscapeCommand:
         assert a != b
 
 
+class TestSpearman:
+    """``compare-oracle`` ranks with numpy; scipy is the independent check."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        # a few distinct integers give many ties; floats give almost none
+        elements=st.sampled_from(
+            [st.integers(0, 3), st.floats(-1e6, 1e6, allow_subnormal=False)]
+        ),
+    )
+    def test_matches_scipy_with_and_without_ties(self, data, elements):
+        from scipy.stats import rankdata, spearmanr
+
+        x = data.draw(st.lists(elements, min_size=2, max_size=30))
+        y = data.draw(st.lists(elements, min_size=len(x), max_size=len(x)))
+        assert np.array_equal(cli._ranks(x), rankdata(x))
+        if len(set(x)) > 1 and len(set(y)) > 1:
+            want = spearmanr(x, y).statistic
+            assert cli._spearman(x, y) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_constant_input_gives_nan(self):
+        assert np.isnan(cli._spearman([1.0, 1.0, 1.0], [0.0, 2.0, 1.0]))
+
+
 class TestCompareOracleCommand:
     def test_small_run_outputs_and_summary(self, tmp_path, capsys):
         cfg = write_config(tmp_path, oracle_actions=16, oracle_bins=11,

@@ -30,6 +30,7 @@ from empkit.empowerment import (
     _MAX_BACKTRACKS,
     LOG_STD_MAX,
     LOG_STD_MIN,
+    _ascend,
     _mi_core,
 )
 from empkit.nets import VAR_FLOOR
@@ -375,9 +376,9 @@ class TestMaximizeEmpowerment:
     @pytest.mark.parametrize(
         "state, expected",
         [
-            ([0.0, 0.0], 3.0904937977906037),
-            ([np.pi, 0.0], 2.471958583627612),
-            ([1.0, -2.0], 2.979236614104403),
+            ([0.0, 0.0], 3.0904937977633584),
+            ([np.pi, 0.0], 2.4719585836231923),
+            ([1.0, -2.0], 2.979236614041981),
         ],
     )
     def test_reference_values_pinned(self, state, expected):
@@ -387,7 +388,7 @@ class TestMaximizeEmpowerment:
         est = maximize_empowerment(PENDULUM, state, OptimizerOptions(seed=0))
         assert est.value == pytest.approx(expected, rel=1e-12)
         assert est.converged
-        assert est.iterations == 8
+        assert est.iterations == 6
         # plain Python scalars, not numpy ones taken from the lane arrays
         assert type(est.value) is float
         assert type(est.converged) is bool
@@ -510,8 +511,8 @@ class TestMaximizeEmpowerment:
             maximize_empowerment(model, [0.0], OptimizerOptions(restarts=4))
 
     def test_failed_restart_leaves_the_others_unchanged(self, monkeypatch):
-        # NaN in restart 2's initial-mean row makes its objective non-finite
-        # at its first trial point; at this state and seed restart 3 wins
+        # NaN in restart 3's initial-mean row makes its objective non-finite
+        # at its first trial point; at this state and seed restart 2 wins
         state, opts = [1.0, -2.0], OptimizerOptions(seed=7)
         clean = maximize_empowerment(PENDULUM, state, opts)
         assert clean.restarts_failed == 0
@@ -519,14 +520,14 @@ class TestMaximizeEmpowerment:
 
         def poisoned(seed, mc_samples, action_dim):
             draw = draw_eps(seed, mc_samples, action_dim)
-            if seed == opts.seed + 2:
+            if seed == opts.seed + 3:
                 draw[-1] = np.nan
             return draw
 
         monkeypatch.setattr(empkit.empowerment, "_draw_eps", poisoned)
         est = maximize_empowerment(PENDULUM, state, opts)
         assert est.restarts_failed == 1
-        winner = mi_lower_bound(PENDULUM, state, est.policy, 32, opts.seed + 3)
+        winner = mi_lower_bound(PENDULUM, state, est.policy, 32, opts.seed + 2)
         assert winner == est.value
         assert est.value == clean.value
         np.testing.assert_array_equal(est.policy.action_mean, clean.policy.action_mean)
@@ -624,8 +625,10 @@ def reference_ascend(x, opts):
             d[held | ((x <= lo) & (d < 0)) | ((x >= hi) & (d > 0))] = 0.0
             if g @ d <= 0.0:
                 d = None
+            else:
+                d = d / max(1.0, math.hypot(*d))
         if d is None:
-            d = pg / max(1.0, math.sqrt(pg @ pg))
+            d = pg / math.hypot(*pg)
         t = 1.0
         for _ in range(_MAX_BACKTRACKS):
             x_new = np.minimum(np.maximum(x + t * d, lo), hi)
@@ -737,6 +740,62 @@ class TestReferenceAscent:
         with np.errstate(invalid="ignore"):
             est = assert_equals_reference(PENDULUM, [1.0, -2.0], opts)
         assert est.restarts_failed == 1
+
+
+def ascent_trials(x, objective, n):
+    """The first ``n`` trial points ``_ascend`` yields from ``x`` when each
+    point is sent ``objective``'s value and gradient, marked consistent."""
+    ascent = _ascend(x, OptimizerOptions())
+    trials = [next(ascent)]
+    while len(trials) < n:
+        value, grad = objective(np.array(trials[-1]))
+        trials.append(ascent.send((value, grad, True)))
+    return trials
+
+
+class TestAscentSteps:
+    """Every trial step starts at length 1 or shorter: the steepest step is
+    the projected gradient scaled to length 1, and a quasi-Newton step
+    longer than 1 is scaled down to 1."""
+
+    def test_short_gradient_takes_a_unit_steepest_step(self):
+        def linear(x):
+            return 0.05 * x[1], np.array([0.0, 0.05])
+
+        trials = ascent_trials([0.0, -1.0], linear, 2)
+        assert trials[1] == [0.0, 0.0]
+
+    def test_long_quasi_newton_step_trimmed_to_unit_length(self):
+        # f = -c/2 |x - peak|^2 with c = 0.01: the gradient is longer than 1,
+        # so the first, steepest step has length 1 under either rule; the
+        # BFGS pair it gives is H^-1 = I/c, so the quasi-Newton step points
+        # at the peak, 199 away, and is cut to length 1 along that direction
+        c, peak = 0.01, np.array([200.0, -1.0])
+
+        def quadratic(x):
+            return -0.5 * c * (x - peak) @ (x - peak), -c * (x - peak)
+
+        trials = ascent_trials([0.0, -1.0], quadratic, 3)
+        assert trials[1] == [1.0, -1.0]
+        assert trials[2] == pytest.approx([2.0, -1.0], abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [1334, 1335, 1336, 1337])
+    def test_no_crawling_restart_at_the_origin(self, monkeypatch, seed):
+        # the restarts run in lockstep, one _mi_core call per round, so the
+        # call count is the longest restart's evaluation count; with steepest
+        # steps as short as the gradient, restart seed 1337 crawls along the
+        # log-std clamp here for 1,140 evaluations
+        lanes = []
+        mi_core = empkit.empowerment._mi_core
+
+        def counted(model, state, mean, log_std, eps, want_grad):
+            lanes.append(len(eps))
+            return mi_core(model, state, mean, log_std, eps, want_grad)
+
+        monkeypatch.setattr(empkit.empowerment, "_mi_core", counted)
+        maximize_empowerment(PENDULUM, [0.0, 0.0], OptimizerOptions(seed=seed))
+        assert lanes[0] == 4 and lanes == sorted(lanes, reverse=True)
+        assert len(lanes) <= 15
 
 
 class TestSelectAction:

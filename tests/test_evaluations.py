@@ -1,0 +1,27 @@
+"""``tools/evaluations.py`` runs end to end.
+
+The evaluation counts of two source trees are compared by diffing this
+tool's output, so the tool itself has to keep working.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_evaluations_tool_prints_every_line():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "evaluations.py"), str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    # 25 AC-5 states, their mean, and the grid's calls and lanes
+    assert len(lines) == 25 + 1 + 2
+    assert lines[0].startswith("ac5[0] calls ")
+    assert lines[-2].startswith("grid 41x41 calls mean ")
+    assert lines[-1].startswith("grid 41x41 lanes mean ")

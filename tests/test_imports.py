@@ -1,9 +1,9 @@
 """scipy stays out of the estimator's path.
 
 ``import empkit`` and the ``landscape`` and ``rollout`` commands need numpy
-only; scipy.special is imported by the oracle's binning step on first use.
-The check runs in a fresh interpreter, because the test process itself has
-long since imported scipy.
+only; scipy.special is imported by the oracle's binning step on first use,
+and ``compare-oracle`` needs no scipy.stats.  The checks run in a fresh
+interpreter, because the test process itself has long since imported scipy.
 """
 
 import json
@@ -55,3 +55,35 @@ def test_estimator_commands_load_no_scipy(tmp_path):
     assert result["after"] and result["converged"]
     assert (tmp_path / "landscape.csv").exists()
     assert (tmp_path / "rollout.csv").exists()
+
+
+COMPARE_SCRIPT = """\
+import json, sys
+out = sys.argv[1]
+import empkit.cli
+cfg = out + "/config.json"
+with open(cfg, "w") as fh:
+    json.dump({"angle_count": 3, "velocity_count": 3, "max_iter": 5,
+               "restarts": 1, "mc_samples": 4, "oracle_actions": 8,
+               "oracle_bins": 5, "oracle_tol": 1e-1, "out_dir": out}, fh)
+assert empkit.cli.main(["compare-oracle", "--config", cfg, "--states", "3"]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy.stats"))))
+"""
+
+
+def test_compare_oracle_ranks_without_scipy_stats(tmp_path):
+    # scipy.stats costs ~1 s and ~45 MB to import; numpy ranks 25 pairs
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", COMPARE_SCRIPT, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "spearman_rank_correlation" in proc.stdout
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
