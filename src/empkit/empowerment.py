@@ -299,7 +299,9 @@ def _ascend(x, opts):
     Each trial step starts at unit length or shorter: the steepest step is
     the projected gradient scaled to length 1, and a quasi-Newton step
     longer than 1 is scaled down to length 1.  Armijo backtracking halves
-    it from there.
+    it from there.  The BFGS curvature pair leaves out the components held
+    at the clamp at the accepted point (projected Newton, Bertsekas 1982),
+    so a restart at the log-std clamp models the mean's curvature alone.
 
     Points, the clamp, the projection and the steps are lists of Python
     floats: on 2k entries a numpy call costs more than its arithmetic.
@@ -375,7 +377,9 @@ def _ascend(x, opts):
             hess_inv = None  # retry from a steepest step
             continue
         iters += 1
-        y = g - g_new
+        # a component held at the new point has s = 0: its gradient change
+        # stays out of the pair, or it would bend the free components' model
+        y = np.where(held_new, 0.0, g - g_new)
         sy, yy = s.dot(y), y.dot(y)
         if sy > _CURVATURE_TOL * math.sqrt(s.dot(s)) * math.sqrt(yy):
             if hess_inv is None:

@@ -13,9 +13,12 @@ restart.  So per state:
 * ``lanes`` is the number of lane evaluations, summed over the restarts.
 
 Prints one line per AC-5 state (the 25-state diagonal from (-pi, -8) to
-(0, 0), seed i), their mean, and the mean, 99th percentile and maximum of
+(0, 0), seed i), their mean, the mean, 99th percentile and maximum of
 both counts over the default 41x41 grid (cell i with seed i, as
-``empkit landscape`` seeds it).  Compare two source trees with
+``empkit landscape`` seeds it), and the mean and maximum of both counts
+per ``select_action`` step of a 50-step rollout from (pi, 0) (step t with
+seed t over the three default torques, as ``empkit rollout`` runs it).
+Compare two source trees with
 
     diff <(python tools/evaluations.py ../parent/src) <(python tools/evaluations.py src)
 """
@@ -27,10 +30,17 @@ from pathlib import Path
 
 import numpy as np
 
+ROLLOUT_STEPS = 50
+
 
 def evaluations():
     import empkit.empowerment
-    from empkit import build_pendulum_dynamics, maximize_empowerment
+    from empkit import (
+        PendulumState,
+        build_pendulum_dynamics,
+        maximize_empowerment,
+        select_action,
+    )
     from empkit.config import RunConfig
 
     cfg = RunConfig()
@@ -47,6 +57,20 @@ def evaluations():
         maximize_empowerment(model, state, cfg.optimizer_options(seed=seed))
         return len(lanes), sum(lanes)
 
+    def rollout(steps):
+        torque = cfg.pendulum_params().max_torque
+        candidates = [np.array([-torque]), np.array([0.0]), np.array([torque])]
+        state = PendulumState(np.pi, 0.0)
+        counts = []
+        for t in range(steps):
+            lanes.clear()
+            opts = cfg.optimizer_options(seed=cfg.seed + t)
+            action, _ = select_action(model, state.as_vector(), candidates, opts)
+            counts.append((len(lanes), sum(lanes)))
+            y = model.conditional(state.as_vector(), action).mean
+            state = PendulumState(y[0], y[1])
+        return counts
+
     empkit.empowerment._mi_core = counted
     try:
         ac5 = []
@@ -54,6 +78,7 @@ def evaluations():
             state = [-np.pi * (1 - u), -8.0 * (1 - u)]
             ac5.append(count(state, cfg.seed + i))
         grid = [count(s, cfg.seed + i) for i, s in enumerate(cfg.grid_states())]
+        steps = rollout(ROLLOUT_STEPS)
     finally:
         empkit.empowerment._mi_core = mi_core
 
@@ -66,6 +91,11 @@ def evaluations():
             f"grid {cfg.angle_count}x{cfg.velocity_count} {name} "
             f"mean {column.mean():.2f} p99 {np.percentile(column, 99):.2f} "
             f"max {column.max()}"
+        )
+    for name, column in zip(("calls", "lanes"), np.array(steps).T):
+        lines.append(
+            f"rollout {ROLLOUT_STEPS} steps {name} per step "
+            f"mean {column.mean():.2f} max {column.max()}"
         )
     return lines
 
