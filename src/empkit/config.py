@@ -66,6 +66,9 @@ class RunConfig:
         # checked by the constructors they are passed to
         for name in ("angle_min", "angle_max", "velocity_min", "velocity_max"):
             _check_real(name, getattr(self, name), positive=False)
+        for lo, hi in (("angle_min", "angle_max"), ("velocity_min", "velocity_max")):
+            if not getattr(self, lo) < getattr(self, hi):
+                raise ValueError(f"{lo} must be less than {hi}")
         _check_int("angle_count", self.angle_count, minimum=2)
         _check_int("velocity_count", self.velocity_count, minimum=2)
         for name in ("oracle_actions", "oracle_bins", "oracle_max_iter"):

@@ -19,14 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gaussian import DiagonalGaussian
-from .nets import (
-    DynamicsModel,
-    _as_vector,
-    _check_int,
-    _check_real,
-    _fused_backprop,
-    _fused_trace,
-)
+from .nets import DynamicsModel, _as_vector, _check_int, _check_real
 
 __all__ = [
     "LOG_STD_MIN",
@@ -129,44 +122,14 @@ def _check_policy(model: DynamicsModel, policy: GaussianPolicy) -> None:
         raise ValueError(f"policy must have dimension {model.action_dim}")
 
 
-def _marginal_pass(model, state, mean, var_a, actions):
-    """The one place the marginal is formed: a fused pass of its moment
-    row and the sampled action rows, per lane.
-
-    Lane l's row 0 carries the state with the policy mean ``mean[l]``
-    (variance 0 on the state slots, ``var_a[l]`` on the action slots); its
-    rows 1.. carry the state with each row of ``actions[l]``.  Returns per
-    lane the marginal next-state mean and variance (see
-    ``marginal_transition``) and the model noise part of that variance,
-    then the output rows and the trace for ``_fused_backprop``.
-    """
-    d = model.state_dim
-    lanes, n, k = actions.shape
-    X = np.empty((lanes, n + 1, d + k))
-    X[:, :, :d] = state
-    X[:, 0, d:] = mean
-    X[:, 1:, d:] = actions
-    v0 = np.concatenate([np.zeros((lanes, d)), var_a], axis=1)
-    Y, vM, trace = _fused_trace(model.net, X, v0)
-    noise = np.exp(2.0 * Y[:, 0, d:])
-    return Y[:, 0, :d], vM[:, :d] + noise, noise, Y, trace
-
-
 def marginal_transition(
     model: DynamicsModel, state, policy: GaussianPolicy
 ) -> DiagonalGaussian:
-    """p(x'|x) with the action marginalized out by moment propagation.
-
-    The network input Gaussian has zero variance on the state slots and
-    the policy's mean/variance on the action slots.  The output halves
-    (mean, log-std) are combined into a next-state Gaussian whose variance
-    is the propagated mean spread plus the intrinsic model noise
-    exp(2 * propagated log-std mean).
-    """
+    """p(x'|x) with the action marginalized out by moment propagation
+    through the dynamics net (see ``DynamicsModel._lane_pass``)."""
     state = _as_vector(state, model.state_dim, "state")
     _check_policy(model, policy)
-    mq, vq, _, _, _ = _marginal_pass(
-        model,
+    mq, vq, _, _, _ = model._lane_pass(
         state,
         policy.action_mean[None],
         np.exp(2.0 * policy.action_log_std)[None],
@@ -183,21 +146,18 @@ def _mi_core(model, state, mean, log_std, eps, want_grad):
     gradients wrt mean and log-std (None without ``want_grad``) and the
     self-consistency flag.
     """
-    d = model.state_dim
-    lanes, n, _ = eps.shape
+    n = eps.shape[1]
     sigma_eps = np.exp(log_std)[:, None, :] * eps
     var_a = np.exp(2.0 * log_std)
     actions = mean[:, None, :] + sigma_eps
-    mq, vq, noise, Y, trace = _marginal_pass(model, state, mean, var_a, actions)
+    mq, vq, mp, vp, tape = model._lane_pass(state, mean, var_a, actions)
     mq, vq = mq[:, None, :], vq[:, None, :]  # broadcast over the sampled rows
-    mp = Y[:, 1:, :d]
-    vp = np.exp(2.0 * Y[:, 1:, d:])
 
     dm = mp - mq
     dm2 = dm * dm
     vp_dm2 = vp + dm2
     kl = 0.5 * (np.log(vq) - np.log(vp)) + vp_dm2 / (2.0 * vq) - 0.5
-    value = kl.reshape(lanes, -1).sum(axis=1) / n
+    value = kl.reshape(len(kl), -1).sum(axis=1) / n
     # self-consistency of the surrogate: the marginal variance produced by
     # moment propagation should account for the spread of the sampled
     # conditional means; when it does not (saturated action means), the KL
@@ -206,23 +166,20 @@ def _mi_core(model, state, mean, log_std, eps, want_grad):
     if not want_grad:
         return value, None, None, consistent
 
-    # d KL / d outputs: row 0 through the marginal (mq, vq), rows 1.. through
-    # the conditionals (mp, vp); log-std outputs enter as exp(2 y).  Negation
-    # is exact, so -(dm / vq) summed equals the sum of -dm / vq bit for bit.
+    # d KL / d (mq, vq, mp, vp).  Negation is exact, so -(dm / vq) summed
+    # equals the sum of -dm / vq bit for bit.
     dm_vq = dm / vq
     half_vq = 0.5 / vq
-    gY = np.empty_like(Y)
-    gY[:, 0, :d] = dm_vq.sum(axis=1) / -n
-    gvq = (half_vq - vp_dm2 / (2.0 * vq**2)).sum(axis=1) / n
-    gY[:, 0, d:] = gvq * 2.0 * noise
-    gY[:, 1:, :d] = dm_vq / n
-    gY[:, 1:, d:] = (half_vq - 0.5 / vp) / n * 2.0 * vp
-    gX, gv0 = _fused_backprop(
-        trace, gY, np.concatenate([gvq, np.zeros((lanes, d))], axis=1)
+    gmean, ga, gvar = model._lane_reverse(
+        tape,
+        dm_vq.sum(axis=1) / -n,
+        (half_vq - vp_dm2 / (2.0 * vq**2)).sum(axis=1) / n,
+        dm_vq / n,
+        (half_vq - 0.5 / vp) / n,
     )
-    ga = gX[:, 1:, d:]
-    gmean = ga.sum(axis=1) + gX[:, 0, d:]
-    glog = (ga * sigma_eps).sum(axis=1) + gv0[:, d:] * 2.0 * var_a
+    # reparameterisation: action row i is mean + exp(log_std) * eps_i
+    gmean = ga.sum(axis=1) + gmean
+    glog = (ga * sigma_eps).sum(axis=1) + gvar * 2.0 * var_a
     return value, gmean, glog, consistent
 
 

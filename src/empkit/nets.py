@@ -246,14 +246,57 @@ class DynamicsModel:
             y = y[0]
         return DiagonalGaussian(y[..., :d], np.exp(2.0 * y[..., d:]))
 
+    def _lane_pass(self, state, mean, var_a, actions):
+        """Marginal and conditionals of each lane from one fused pass.
+
+        A lane is a policy mean and action variance, rows of ``mean`` and
+        ``var_a`` (lanes, k), and action rows ``actions`` (lanes, n, k); all
+        lanes share ``state``.  Row 0 is the moment row: zero variance on
+        the state slots, the policy's on the action slots.  The output
+        halves (mean, log-std) give next-state Gaussians of variance
+        exp(2 * log-std), plus the mean half's propagated spread in row 0.
+        Returns the marginal means and variances (lanes, d), the conditional
+        ones (lanes, n, d) and the tape that ``_lane_reverse`` consumes.
+        """
+        d = self.state_dim
+        lanes, n, k = actions.shape
+        X = np.empty((lanes, n + 1, d + k))
+        X[:, :, :d] = state
+        X[:, 0, d:] = mean
+        X[:, 1:, d:] = actions
+        v0 = np.concatenate([np.zeros((lanes, d)), var_a], axis=1)
+        Y, vM, trace = _fused_trace(self.net, X, v0)
+        noise = np.exp(2.0 * Y[:, 0, d:])
+        vp = np.exp(2.0 * Y[:, 1:, d:])
+        return Y[:, 0, :d], vM[:, :d] + noise, Y[:, 1:, :d], vp, (trace, noise, vp)
+
+    def _lane_reverse(self, tape, gmq, gvq, gmp, gvp):
+        """Reverse step of ``_lane_pass``: gradients wrt its four outputs
+        mapped onto the policy mean (lanes, k), each action row (lanes, n, k)
+        and the action variance (lanes, k)."""
+        trace, noise, vp = tape
+        d = self.state_dim
+        lanes, n, _ = gmp.shape
+        G = np.empty((lanes, n + 1, 2 * d))
+        G[:, 0, :d] = gmq
+        G[:, 0, d:] = gvq * 2.0 * noise
+        G[:, 1:, :d] = gmp
+        G[:, 1:, d:] = gvp * 2.0 * vp
+        gX, gv0 = _fused_backprop(
+            trace, G, np.concatenate([gvq, np.zeros((lanes, d))], axis=1)
+        )
+        return gX[:, 0, d:], gX[:, 1:, d:], gv0[:, d:]
+
+
+def _check_input(net, dim):
+    if dim != net.in_dim:
+        raise ValueError(f"input dim {dim} does not match net input {net.in_dim}")
+
 
 def forward_point(net: FeedforwardNet, x) -> np.ndarray:
     """Plain forward pass; accepts a vector or a batch of row vectors."""
     h = np.asarray(x, dtype=float)
-    if h.shape[-1] != net.in_dim:
-        raise ValueError(
-            f"input dim {h.shape[-1]} does not match net input {net.in_dim}"
-        )
+    _check_input(net, h.shape[-1])
     for layer in net.layers:
         h = layer.act(h @ layer.weights.T + layer.bias)
     return h
@@ -265,14 +308,15 @@ def forward_moments(net: FeedforwardNet, g: DiagonalGaussian) -> DiagonalGaussia
     Each propagated variance is floored at ``VAR_FLOOR``.
     """
     g = _single(g)
+    _check_input(net, g.dim)
     H, v, _ = _fused_trace(net, g.mean[None, None, :], g.variance[None, :])
     return DiagonalGaussian(H[0, 0], v[0])
 
 
 # ---------------------------------------------------------------------------
-# fused forward pass + hand-rolled reverse mode, used by the empowerment
-# objective gradient (the nets here are tiny; autodiff frameworks are not
-# worth the dependency).
+# fused forward pass + hand-rolled reverse mode, behind the lane pass
+# ``DynamicsModel._lane_pass`` and its ``_lane_reverse`` (the nets here are
+# tiny; autodiff frameworks are not worth the dependency).
 #
 # Both passes carry a leading lane axis: lane l is an independent problem,
 # and every lane's numbers equal those of the same lane run alone, bit for

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -85,6 +86,12 @@ class TestConfig:
             ("noise_std", 0.1),
             ("noise_std", [0.1, "x"]),
             ("out_dir", 3),
+            # an empty grid range repeats one state, a reversed one reverses
+            # the CSV and the image
+            ("angle_min", math.pi),
+            ("angle_max", -4.0),
+            ("velocity_min", 8.0),
+            ("velocity_max", -9.0),
         ],
     )
     def test_bad_value_rejected_at_load(self, tmp_path, field, value):

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -586,6 +588,85 @@ class TestLanes:
             for got, want in zip(batched, alone):
                 np.testing.assert_array_equal(got[lane], want[0])
 
+
+
+def lane_inputs(model, lanes=3, n=5, seed=0):
+    rng = np.random.default_rng(seed)
+    k = model.action_dim
+    state = rng.uniform(-2.0, 2.0, model.state_dim)
+    mean = rng.normal(0.0, 1.0, (lanes, k))
+    var_a = rng.uniform(0.05, 1.0, (lanes, k))
+    actions = rng.normal(0.0, 1.5, (lanes, n, k))
+    return state, mean, var_a, actions
+
+
+class TestLanePass:
+    """``DynamicsModel._lane_pass`` and ``_lane_reverse``: the one place the
+    net's input and output layout meets the estimator."""
+
+    @pytest.mark.parametrize("case", ["pendulum", "mixed"])
+    def test_rows_match_conditional(self, case):
+        # not bit-equal: the lane pass takes one matrix product for all rows
+        # of a lane, and ``conditional`` takes one per row
+        model = PENDULUM if case == "pendulum" else mixed_tag_model()
+        state, mean, var_a, actions = lane_inputs(model)
+        _, _, mp, vp, _ = model._lane_pass(state, mean, var_a, actions)
+        for lane, rows in enumerate(actions):
+            want = model.conditional(state, rows)
+            np.testing.assert_allclose(mp[lane], want.mean, rtol=1e-12)
+            np.testing.assert_allclose(vp[lane], want.variance, rtol=1e-12)
+
+    @pytest.mark.parametrize("case", ["pendulum", "mixed"])
+    def test_reverse_matches_finite_differences(self, case):
+        # the reverse step of a fixed linear functional of the four outputs,
+        # against central differences in the policy mean, each action row
+        # and the action variance
+        model = PENDULUM if case == "pendulum" else mixed_tag_model()
+        state, mean, var_a, actions = lane_inputs(model, seed=1)
+        rng = np.random.default_rng(2)
+        outs = model._lane_pass(state, mean, var_a, actions)
+        weights = [rng.normal(size=o.shape) for o in outs[:4]]
+
+        def functional(mean, var_a, actions):
+            outs = model._lane_pass(state, mean, var_a, actions)
+            return sum((w * o).sum() for w, o in zip(weights, outs))
+
+        grads = dict(
+            zip(("mean", "actions", "var_a"), model._lane_reverse(outs[4], *weights))
+        )
+        args = {"mean": mean, "var_a": var_a, "actions": actions}
+        h = 1e-6
+        for name, x in args.items():
+            fd = np.empty_like(x)
+            for idx in np.ndindex(x.shape):
+                up, down = x.copy(), x.copy()
+                up[idx] += h
+                down[idx] -= h
+                fd[idx] = (
+                    functional(**{**args, name: up}) - functional(**{**args, name: down})
+                ) / (2 * h)
+            np.testing.assert_allclose(grads[name], fd, rtol=1e-6, atol=1e-8)
+
+    def test_estimator_leaves_the_layout_to_the_model(self):
+        # empowerment.py reaches the net only through DynamicsModel: it imports
+        # no fused pass and forms no marginal of its own
+        tree = ast.parse(Path(empkit.empowerment.__file__).read_text())
+        imported = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "nets"
+            for alias in node.names
+        ]
+        assert sorted(imported) == [
+            "DynamicsModel",
+            "_as_vector",
+            "_check_int",
+            "_check_real",
+        ]
+        defined = {
+            node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        }
+        assert "_marginal_pass" not in defined
 
 def reference_ascend(x, opts):
     """The projected BFGS ascent of one restart with numpy-array bookkeeping:

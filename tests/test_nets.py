@@ -98,10 +98,17 @@ class TestForwardPoint:
         net = FeedforwardNet((LayerSpec([[2.0]], [1.0]),))
         np.testing.assert_array_equal(forward_point(net, [3.0]), [7.0])
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize(
+        "forward, x",
+        [
+            (forward_point, [1.0, 2.0, 3.0]),
+            (forward_moments, DiagonalGaussian([1.0, 2.0, 3.0], [0.1, 0.1, 0.1])),
+        ],
+    )
+    def test_dimension_mismatch(self, forward, x):
         net = FeedforwardNet((LayerSpec(np.eye(2), np.zeros(2)),))
-        with pytest.raises(ValueError):
-            forward_point(net, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="does not match net input"):
+            forward(net, x)
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(3)
