@@ -248,7 +248,7 @@ def _ascend(x, opts):
     A generator: it yields each trial point as a list and is sent back
     that point's ``(value, gradient, consistent)``, the gradient over
     (mean, log_std) as an array.  It returns ``(best, iterations)``.
-    ``best`` is the highest self-consistent iterate along the path as
+    ``best`` is the last self-consistent iterate along the path as
     ``(value, mean, log_std, grad_norm)``, ``grad_norm`` the infinity norm
     of its projected gradient, or None when no iterate was consistent.
     Raises FloatingPointError on a non-finite objective.
@@ -284,13 +284,8 @@ def _ascend(x, opts):
         pg = [0.0 if hd else gi for hd, gi in zip(held, gl)]
         return value, g, pg, held, _inf_norm(pg), ok
 
-    def keep(best, value, x, norm, ok):
-        if ok and (best is None or value > best[0]):
-            return (value, x[:k], x[k:], norm)
-        return best
-
     f, g, pg, held, norm, ok = yield from evaluate(x)
-    best = keep(None, f, x, norm, ok)
+    best = (f, x[:k], x[k:], norm) if ok else None
     hess_inv = None  # None until a curvature pair is accepted
     iters = 0
     while norm >= opts.grad_tol and iters < opts.max_iter:
@@ -300,6 +295,8 @@ def _ascend(x, opts):
                 0.0 if hd or (xi <= l and di < 0.0) or (xi >= h and di > 0.0) else di
                 for hd, di, xi, l, h in zip(held, hess_inv.dot(pg).tolist(), x, lo, hi)
             ]
+            # g.d = pg'H pg minus blocked terms pg_i (H pg)_i <= 0, so > 0 while
+            # hess_inv is positive definite; guards an update rounding left indefinite
             if g.dot(np.array(d)) <= 0.0:
                 d = None
             else:
@@ -344,7 +341,10 @@ def _ascend(x, opts):
             v = eye - s[:, None] * y / sy
             hess_inv = v.dot(hess_inv).dot(v.T) + s[:, None] * s / sy
         x, f, g, pg, held, norm = x_new, f_new, g_new, pg_new, held_new, norm_new
-        best = keep(best, f, x, norm, ok)
+        # an accepted value is >= f + 1e-4 * gain with gain > 0, so values
+        # never fall along the path and the last consistent iterate is best
+        if ok:
+            best = (f, x[:k], x[k:], norm)
     return best, iters
 
 

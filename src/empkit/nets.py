@@ -48,11 +48,8 @@ def _sine_all(z):
     return s, np.cos(z), -s
 
 
-# tag -> (f, z -> (f, f', f'') computed together); identity has no entry
-_ACT = {
-    "tanh": (np.tanh, _tanh_all),
-    "sine": (np.sin, _sine_all),
-}
+# tag -> z -> (f, f', f'') computed together; identity has no entry
+_ACT = {"tanh": _tanh_all, "sine": _sine_all}
 
 
 @dataclass(frozen=True)
@@ -117,20 +114,11 @@ class LayerSpec:
     def out_dim(self) -> int:
         return self.weights.shape[0]
 
-    def act(self, z: np.ndarray) -> np.ndarray:
-        """Apply f elementwise."""
-        out = z.copy()
-        for tag, units in self._runs:
-            out[..., units] = _ACT[tag][0](z[..., units])
-        return out
-
     def act_all(self, z: np.ndarray):
         """(f, f', f'') elementwise, one call per run of equal tags."""
         f, df, d2f = z.copy(), np.ones(z.shape), np.zeros(z.shape)
         for tag, units in self._runs:
-            f[..., units], df[..., units], d2f[..., units] = _ACT[tag][1](
-                z[..., units]
-            )
+            f[..., units], df[..., units], d2f[..., units] = _ACT[tag](z[..., units])
         return f, df, d2f
 
 
@@ -298,7 +286,7 @@ def forward_point(net: FeedforwardNet, x) -> np.ndarray:
     h = np.asarray(x, dtype=float)
     _check_input(net, h.shape[-1])
     for layer in net.layers:
-        h = layer.act(h @ layer.weights.T + layer.bias)
+        h = layer.act_all(h @ layer.weights.T + layer.bias)[0]
     return h
 
 

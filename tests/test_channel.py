@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
+from scipy.stats import spearmanr
 
 import empkit.channel
 import empkit.nets
@@ -18,10 +19,12 @@ from empkit import (
     DynamicsModel,
     FeedforwardNet,
     LayerSpec,
+    OptimizerOptions,
     PendulumParams,
     blahut_arimoto,
     build_pendulum_dynamics,
     discretize_dynamics,
+    maximize_empowerment,
     oracle_empowerment,
 )
 
@@ -60,12 +63,12 @@ def textbook_blahut_arimoto(P, tol, max_iter=10_000):
     return max(lower, 0.0), it, np.array(lower_bounds)
 
 
-def ac5_inputs():
+def ac5_inputs(state=(-np.pi / 2, -4.0)):
     """Model, state, action grid and bin edges with which oracle_empowerment
-    discretizes one state of the AC-5 sweep (its midpoint, angle -pi/2,
-    velocity -4)."""
+    discretizes a state of the AC-5 sweep (by default its midpoint, angle
+    -pi/2, velocity -4)."""
     model = build_pendulum_dynamics(PendulumParams())
-    state = np.array([-np.pi / 2, -4.0])
+    state = np.array(state, dtype=float)
     acts = np.linspace(-4.0, 4.0, 64)
     conds = [model.conditional(state, [a]) for a in acts]
     means = np.array([g.mean for g in conds])
@@ -176,12 +179,20 @@ def forbid_evaluation(monkeypatch):
     return calls
 
 
+PLAIN_ACTIVATION = {"tanh": np.tanh, "sine": np.sin, "identity": lambda z: z}
+
+
 def conditional_1d(model, state, action):
     """Reference: one action through the net as a plain vector, layer by
-    layer, as mean and variance of p(x'|x,a)."""
+    layer and unit by unit with numpy's function of each unit's tag, as
+    mean and variance of p(x'|x,a)."""
     h = np.concatenate([state, action])
     for layer in model.net.layers:
-        h = layer.act(h @ layer.weights.T + layer.bias)
+        z = h @ layer.weights.T + layer.bias
+        tags = layer.activation
+        if isinstance(tags, str):
+            tags = (tags,) * len(z)
+        h = np.array([PLAIN_ACTIVATION[t](zu) for t, zu in zip(tags, z)])
     d = model.state_dim
     return h[:d], np.exp(2.0 * h[d:])
 
@@ -831,3 +842,46 @@ class TestOracleEmpowerment:
         )
         with pytest.raises(ValueError):
             oracle_empowerment(model, [0.0])
+
+
+def binned_policy(policy, acts):
+    """A Gaussian policy's mass on a uniform action grid: each action gets
+    its cell, the midpoints to its neighbours, and both tails go to the
+    end actions."""
+    mids = 0.5 * (acts[1:] + acts[:-1])
+    sd = np.exp(policy.action_log_std[0])
+    cdf = ndtr((mids - policy.action_mean[0]) / sd)
+    return np.diff(np.concatenate([[0.0], cdf, [1.0]]))
+
+
+def policy_information(P, p):
+    """I(p) = sum_a p_a D_a from one Blahut-Arimoto divergence step."""
+    m = p @ P
+    pos = P > 0
+    ratio = np.where(pos, P, 1.0) / np.where(pos, m, 1.0)
+    D = np.einsum("as,as->a", P, np.log(ratio))
+    return float(p @ D)
+
+
+class TestCertifiedFloor:
+    """The estimator's returned policy, binned onto the oracle's action grid,
+    carries exact information I(p) on the oracle's channel: a certified
+    floor under the binned capacity (Arimoto: I(p) <= C <= capacity + gap),
+    and, as E_a KL(p(x'|a) || q) >= I for any q, under the estimate too."""
+
+    def test_ac5_policies_score_near_capacity(self):
+        floors, capacities = [], []
+        for i, u in enumerate(np.linspace(0.0, 1.0, 25)):
+            state = np.array([-np.pi * (1 - u), -8.0 * (1 - u)])
+            model, _, acts, edges = ac5_inputs(state)
+            est = maximize_empowerment(model, state, OptimizerOptions(seed=i))
+            res = oracle_empowerment(model, state, n_actions=64, bins=41)
+            assert res.converged
+            P = discretize_dynamics(model.conditional(state, acts), edges).transition
+            floor = policy_information(P, binned_policy(est.policy, np.ravel(acts)))
+            assert floor <= res.capacity + res.gap
+            assert floor >= 0.85 * res.capacity
+            assert est.value >= floor
+            floors.append(floor)
+            capacities.append(res.capacity)
+        assert spearmanr(floors, capacities).statistic >= 0.99

@@ -169,6 +169,12 @@ class TestLandscapeCommand:
         assert (tmp_path / "out" / "landscape.csv").read_bytes() == first
         assert (tmp_path / "out" / "landscape.pgm").read_bytes() == first_pgm
 
+    def test_constant_grid_image_is_black(self, tmp_path):
+        # no spread to normalize by: every finite cell maps to 0, as NaN does
+        path = tmp_path / "flat.pgm"
+        cli._write_pgm(path, np.array([[1.5, 1.5, 1.5], [1.5, np.nan, 1.5]]))
+        assert path.read_text() == "P2\n3 2\n255\n0 0 0\n0 0 0\n"
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path)
         main(["landscape", "--config", str(cfg), "--seed", "0"])
@@ -289,6 +295,27 @@ class TestExitCodes:
         path = tmp_path / "config.json"
         path.write_text('{"angle_count": 1}')
         assert main(["landscape", "--config", str(path)]) == 2
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        assert main(["landscape", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: config must be a JSON object\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compare-oracle", "--states", "1"], "need at least 2 states to compare"),
+            (["compare-oracle", "--states", "5"], "more states requested than grid"),
+            (["rollout", "--start", "0,0", "--steps", "0"], "steps must be >= 1"),
+        ],
+    )
+    def test_bad_count_is_config_error(self, tmp_path, capsys, argv, message):
+        cfg = write_config(tmp_path)  # a 2 x 2 grid
+        assert main([*argv, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {message}")
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -861,6 +861,68 @@ class TestAscentSteps:
         assert trials[1] == [1.0, -1.0]
         assert trials[2] == pytest.approx([2.0, -1.0], abs=1e-12)
 
+    @staticmethod
+    def run_ascent(x0, objective):
+        """Drive ``_ascend`` from ``x0`` until it returns, sending each trial
+        point ``objective(trials)``, the value and gradient at the last of
+        the trials so far; returns the trials and ``_ascend``'s result."""
+        ascent = _ascend(x0, OptimizerOptions())
+        trials = [next(ascent)]
+        while True:
+            value, grad = objective(trials)
+            try:
+                trials.append(ascent.send((value, grad, True)))
+            except StopIteration as stop:
+                return trials, stop.value
+
+    def test_exhausted_search_without_curvature_stops(self):
+        # the gradient points up the mean, but every step lowers the value:
+        # all backtracks fail, and with no curvature model to drop, the
+        # ascent stops at its start
+        def falling(trials):
+            x = np.array(trials[-1])
+            return -np.abs(x - [0.0, -1.0]).sum(), np.array([1.0, 0.0])
+
+        trials, (best, iterations) = self.run_ascent([0.0, -1.0], falling)
+        assert len(trials) == 1 + _MAX_BACKTRACKS
+        assert trials[1] == [1.0, -1.0]
+        assert trials[-1] == [0.5 ** (_MAX_BACKTRACKS - 1), -1.0]
+        assert iterations == 0
+        assert best == (0.0, [0.0], [-1.0], 1.0)
+
+    def test_exhausted_search_with_curvature_resets_to_steepest(self):
+        # one accepted unit step up an anisotropic quadratic gives a
+        # curvature pair; from then on every step lowers the value while
+        # the gradient points up.  The quasi-Newton search fails, the model
+        # is dropped and a unit steepest step starts a fresh search; when
+        # that fails too, the ascent stops at the accepted point
+        peak, c = np.array([3.0, 1.0]), np.array([1.0, 4.0])
+
+        def quadratic(x):
+            return -0.5 * c @ (x - peak) ** 2, -c * (x - peak)
+
+        def objective(trials):
+            x = np.array(trials[-1])
+            if len(trials) <= 2:
+                return quadratic(x)
+            x1 = np.array(trials[1])
+            return quadratic(x1)[0] - 1.0 - np.abs(x - x1).sum(), quadratic(x)[1]
+
+        def unit_step(x):
+            g = quadratic(np.array(x))[1]
+            return pytest.approx(np.add(x, g / np.hypot(*g)), abs=1e-12)
+
+        trials, (best, iterations) = self.run_ascent([0.0, -1.0], objective)
+        x1 = trials[1]
+        assert x1 == unit_step([0.0, -1.0])
+        assert len(trials) == 2 + 2 * _MAX_BACKTRACKS
+        # the quasi-Newton trial leaves the gradient's direction; after its
+        # failed search the next trial is the unit steepest step
+        assert trials[2] != unit_step(x1)
+        assert trials[2 + _MAX_BACKTRACKS] == unit_step(x1)
+        assert iterations == 1
+        assert (best[1], best[2]) == ([x1[0]], [x1[1]])
+
     def test_held_component_left_out_of_the_curvature_pair(self):
         # f = -(m + 9.4)^2 / 2 + l (20 + 5 m) rises in l everywhere it is
         # visited, so l stays held at the clamp 2, where the mean's peak is

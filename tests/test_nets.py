@@ -6,6 +6,7 @@ import pytest
 import empkit.nets
 from empkit import (
     DiagonalGaussian,
+    DynamicsModel,
     FeedforwardNet,
     LayerSpec,
     PendulumParams,
@@ -61,23 +62,38 @@ class TestLayerSpec:
         np.testing.assert_array_equal(layer.bias, np.zeros(2))
         assert not layer.weights.flags.writeable and not layer.bias.flags.writeable
 
+    @pytest.mark.parametrize(
+        "weights, tags, message",
+        [
+            (np.ones(3), "identity", "weights must be a matrix"),
+            (np.ones((2, 3)), ("tanh",), "per-unit activation list must match"),
+            (np.ones((2, 3)), ("tanh", "sine", "tanh"), "per-unit activation list"),
+        ],
+    )
+    def test_bad_shape_rejected(self, weights, tags, message):
+        with pytest.raises(ValueError, match=message):
+            LayerSpec(weights, np.zeros(len(weights)), tags)
+
     def test_per_unit_tags(self):
         layer = LayerSpec(np.eye(2), np.zeros(2), ("sine", "identity"))
-        out = layer.act(np.array([0.5, 0.5]))
-        np.testing.assert_allclose(out, [np.sin(0.5), 0.5])
+        f, df, d2f = layer.act_all(np.array([0.5, 0.5]))
+        np.testing.assert_allclose(f, [np.sin(0.5), 0.5])
+        np.testing.assert_allclose(df, [np.cos(0.5), 1.0])
+        np.testing.assert_allclose(d2f, [-np.sin(0.5), 0.0])
 
     def test_repeated_tags_apply_per_unit(self):
         # a tag recurring after another one: each unit still gets its own
-        # function and derivatives, on a batch with a leading lane axis
+        # function and derivatives, on a batch with a leading lane axis;
+        # f is numpy's own function of the unit's tag, bit for bit
+        plain = {"sine": np.sin, "tanh": np.tanh, "identity": lambda z: z}
         tags = ("sine", "identity", "identity", "sine", "tanh", "identity")
         layer = LayerSpec(np.eye(6), np.zeros(6), tags)
         z = np.random.default_rng(4).normal(size=(3, 5, 6))
         f, df, d2f = layer.act_all(z)
-        np.testing.assert_array_equal(layer.act(z), f)
         for u, tag in enumerate(tags):
             single = LayerSpec([[1.0]], [0.0], tag)
             unit = z[..., u : u + 1]
-            np.testing.assert_array_equal(f[..., u : u + 1], single.act(unit))
+            np.testing.assert_array_equal(f[..., u : u + 1], plain[tag](unit))
             for got, want in zip((f, df, d2f), single.act_all(unit)):
                 np.testing.assert_array_equal(got[..., u : u + 1], want)
 
@@ -86,6 +102,26 @@ class TestLayerSpec:
         b = LayerSpec(np.ones((1, 4)), np.zeros(1))
         with pytest.raises(ValueError):
             FeedforwardNet((a, b))
+
+    def test_empty_network_rejected(self):
+        with pytest.raises(ValueError, match="at least one layer"):
+            FeedforwardNet(())
+
+
+class TestDynamicsModel:
+    @pytest.mark.parametrize(
+        "out_dim, in_dim, message",
+        [
+            (4, 4, "net input dim must equal state_dim \\+ action_dim"),
+            (3, 3, "net output dim must equal 2 \\* state_dim"),
+        ],
+    )
+    def test_net_width_must_fit_the_layout(self, out_dim, in_dim, message):
+        # state_dim 2 and action_dim 1 need a 3-in, 4-out net
+        layer = LayerSpec(np.ones((out_dim, in_dim)), np.zeros(out_dim))
+        net = FeedforwardNet((layer,))
+        with pytest.raises(ValueError, match=message):
+            DynamicsModel(net, state_dim=2, action_dim=1)
 
 
 class TestForwardPoint:

@@ -13,6 +13,9 @@ package) and prints ``float.hex`` of a fixed set of outputs, one per line:
   ``marginal_transition`` and ``forward_moments`` at 40 seeded random
   states, policies, Monte Carlo draw counts and seeds;
 * ``select_action`` from (pi, 0) over torques -2, 0, 2;
+* point evaluation on the pendulum and on a seeded mixed-tag net:
+  ``forward_point`` on a vector, an (n, in) batch and an (n, 1, in)
+  stack, and ``DynamicsModel.conditional`` on one action and on a batch;
 * ``oracle_empowerment`` at AC-5's settings on its 25-state diagonal: the
   sha256 of the channel handed to ``blahut_arimoto`` and the iteration
   count on one line, capacity and gap on the next.
@@ -51,12 +54,16 @@ def _estimate(tag, est):
 def fingerprint():
     from empkit import (
         DiagonalGaussian,
+        DynamicsModel,
+        FeedforwardNet,
         GaussianPolicy,
+        LayerSpec,
         OptimizerOptions,
         PendulumParams,
         build_pendulum_dynamics,
         empowerment_landscape,
         forward_moments,
+        forward_point,
         marginal_transition,
         maximize_empowerment,
         mi_lower_bound,
@@ -110,6 +117,24 @@ def fingerprint():
     torques = [[-2.0], [0.0], [2.0]]
     a, v = select_action(model, [np.pi, 0.0], torques, OptimizerOptions())
     lines.append(f"select_action {_hex(a)} {_hex(v)}")
+
+    rng = np.random.default_rng(7)
+    tags = ("tanh", "sine", "sine", "identity", "tanh")
+    hidden = LayerSpec(rng.normal(size=(5, 4)), rng.normal(size=5), tags)
+    out = LayerSpec(0.5 * rng.normal(size=(4, 5)), rng.normal(size=4), "tanh")
+    mixed = DynamicsModel(FeedforwardNet((hidden, out)), state_dim=2, action_dim=2)
+    for name, m in (("pendulum", model), ("mixed", mixed)):
+        X = rng.normal(0.0, 2.0, (7, m.net.in_dim))
+        state, actions = X[0, : m.state_dim], X[:, m.state_dim :]
+        for kind, x in (("vector", X[0]), ("batch", X), ("stack", X[:, None])):
+            y = forward_point(m.net, x)
+            lines.append(f"point[{name},{kind}] {_hex(y.ravel())}")
+        for kind, a in (("one", actions[0]), ("batch", actions)):
+            c = m.conditional(state, a)
+            lines.append(
+                f"conditional[{name},{kind}] {_hex(c.mean.ravel())} | "
+                f"{_hex(c.variance.ravel())}"
+            )
 
     lines.extend(oracle_fingerprint(model))
     return lines
