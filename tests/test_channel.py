@@ -44,7 +44,9 @@ def two_row_capacity_grid_search(P, n=20_001):
 
 
 def textbook_blahut_arimoto(P, tol, max_iter=10_000):
-    """Reference: the update written out with full-matrix temporaries."""
+    """Reference: the textbook update, p_a <- p_a exp(D_a) normalized,
+    written out with full-matrix temporaries.  Returns the capacity, the
+    Arimoto gap of the last iterate and the lower bound per iteration."""
     logP = np.zeros_like(P)
     pos = P > 0
     logP[pos] = np.log(P[pos])
@@ -60,7 +62,7 @@ def textbook_blahut_arimoto(P, tol, max_iter=10_000):
             break
         w = p * np.exp(D - upper)
         p = w / w.sum()
-    return max(lower, 0.0), it, np.array(lower_bounds)
+    return max(lower, 0.0), upper - lower, np.array(lower_bounds)
 
 
 def ac5_inputs(state=(-np.pi / 2, -4.0)):
@@ -104,6 +106,15 @@ def outer_loop_discretization(model, state, action_grid, state_bins):
             row = np.outer(row, probs).ravel()
         rows.append(row)
     return np.vstack(rows)
+
+
+def assert_bounds_of_input_distribution(P, res):
+    """``res`` reports the Arimoto bounds of its own input distribution on
+    the strictly positive channel ``P``."""
+    p = res.input_distribution
+    D = np.einsum("as,as->a", P, np.log(P / (p @ P)))
+    assert float(p @ D) == pytest.approx(res.capacity, abs=1e-12)
+    assert float(D.max() - p @ D) == pytest.approx(res.gap, abs=1e-12)
 
 
 def row_kron(left, right):
@@ -478,10 +489,53 @@ class TestBlahutArimoto:
         P = np.random.default_rng(12).dirichlet(np.ones(5), size=4)
         res = blahut_arimoto(DiscreteChannel(P), tol=1e-12, max_iter=max_iter)
         assert not res.converged and res.iterations == max_iter
-        p = res.input_distribution
-        D = np.einsum("as,as->a", P, np.log(P / (p @ P)))
-        assert float(p @ D) == pytest.approx(res.capacity, abs=1e-12)
-        assert float(D.max() - p @ D) == pytest.approx(res.gap, abs=1e-12)
+        assert_bounds_of_input_distribution(P, res)
+
+    def test_discarded_trial_repeats_the_bound_and_keeps_the_iterate(self):
+        """An over-relaxed trial that does not raise the bound is discarded:
+        its evaluation counts, ``lower_bounds`` repeats the current
+        iterate's entry, a run cut right after it returns that iterate, and
+        the next step, a textbook one, raises the bound."""
+        P = np.random.default_rng(12).dirichlet(np.ones(5), size=4)
+        lb = np.array(blahut_arimoto(DiscreteChannel(P), tol=1e-12).lower_bounds)
+        # lb[k] == lb[k - 1]: evaluation k + 1 was a discarded trial
+        k = int(np.flatnonzero(np.diff(lb) == 0)[0]) + 1
+        assert k > 2 and (np.diff(lb[:k]) > 0).all() and lb[k + 1] > lb[k]
+        before = blahut_arimoto(DiscreteChannel(P), tol=1e-12, max_iter=k)
+        after = blahut_arimoto(DiscreteChannel(P), tol=1e-12, max_iter=k + 1)
+        # far from converged, so the trial lowered the bound: no rounding tie
+        assert before.gap > 1e-4
+        assert after.iterations == k + 1
+        assert after.lower_bounds == before.lower_bounds + before.lower_bounds[-1:]
+        np.testing.assert_array_equal(after.input_distribution, before.input_distribution)
+        for res in (before, after):
+            assert not res.converged
+            assert_bounds_of_input_distribution(P, res)
+
+    def test_ac5_channel_converges_in_few_evaluations(self):
+        # the textbook update takes 380 evaluations here
+        res = blahut_arimoto(DiscreteChannel(ac5_channel()), tol=1e-3)
+        assert res.converged and res.iterations <= 200
+
+    def test_converges_at_defaults_where_the_textbook_update_stalls(self):
+        """A 5 x 2 channel (draw 14 of 600 from ``default_rng(0)``: sizes
+        from ``integers(1, 7, size=2)``, Dirichlet rows with alpha cycling
+        over 0.2 / 1 / 5) whose optimal input leaves actions unused: the
+        textbook update stops at 10,000 iterations with a gap of 1.5e-6."""
+        P = np.array(
+            [
+                [0.7584522224095516, 0.24154777759044835],
+                [0.3774109854446611, 0.6225890145553389],
+                [0.5799364209244284, 0.42006357907557157],
+                [0.7577493486904985, 0.24225065130950146],
+                [0.588062493854511, 0.41193750614548885],
+            ]
+        )
+        res = blahut_arimoto(DiscreteChannel(P))
+        capacity, gap, lower_bounds = textbook_blahut_arimoto(P, 1e-9)
+        assert len(lower_bounds) == 10_000 and gap > 1e-6
+        assert res.converged and res.iterations < 10_000
+        assert res.capacity <= capacity + gap and capacity <= res.capacity + res.gap
 
     def test_result_fields(self):
         res = blahut_arimoto(DiscreteChannel(np.eye(2)))
@@ -497,6 +551,10 @@ class TestBlahutArimoto:
 
     @pytest.mark.parametrize("case", ["zero_column", "dirichlet", "ac5_state"])
     def test_matches_textbook_update(self, case):
+        """The first two lower bounds (the uniform start and the first step,
+        at mu = 1) are the textbook's; after that the paths part, and only
+        what any path must satisfy is checked: both runs converge to
+        intervals that hold the capacity, and at tol 1e-12 they agree."""
         if case == "zero_column":
             channels = [
                 np.array(
@@ -513,10 +571,14 @@ class TestBlahutArimoto:
             tol = 1e-3
         for P in channels:
             res = blahut_arimoto(DiscreteChannel(P), tol=tol)
-            capacity, iterations, lower_bounds = textbook_blahut_arimoto(P, tol)
-            assert res.iterations == iterations
-            assert res.capacity == pytest.approx(capacity, abs=1e-12)
-            np.testing.assert_allclose(res.lower_bounds, lower_bounds, rtol=0, atol=1e-12)
+            capacity, gap, lower_bounds = textbook_blahut_arimoto(P, tol)
+            np.testing.assert_allclose(
+                res.lower_bounds[:2], lower_bounds[:2], rtol=0, atol=1e-12
+            )
+            assert res.converged and gap < tol
+            assert res.capacity <= capacity + gap and capacity <= res.capacity + res.gap
+            if tol == 1e-12:
+                assert res.capacity == pytest.approx(capacity, abs=1e-12)
 
     @pytest.mark.parametrize("dims", [1, 2, 3])
     def test_product_channel_matches_its_matrix(self, dims):

@@ -13,7 +13,9 @@ restart.  So per state:
 * ``lanes`` is the number of lane evaluations, summed over the restarts.
 
 Prints one line per AC-5 state (the 25-state diagonal from (-pi, -8) to
-(0, 0), seed i), their mean, the mean, 99th percentile and maximum of
+(0, 0), seed i), their mean, the mean and maximum of the Blahut-Arimoto
+evaluations (``iterations``) of ``oracle_empowerment`` at its defaults on
+those states, as AC-5 runs it, the mean, 99th percentile and maximum of
 both counts over the default 41x41 grid (cell i with seed i, as
 ``empkit landscape`` seeds it), and the mean and maximum of both counts
 per ``select_action`` step of a 50-step rollout from (pi, 0) (step t with
@@ -39,6 +41,7 @@ def evaluations():
         PendulumState,
         build_pendulum_dynamics,
         maximize_empowerment,
+        oracle_empowerment,
         select_action,
     )
     from empkit.config import RunConfig
@@ -73,10 +76,11 @@ def evaluations():
 
     empkit.empowerment._mi_core = counted
     try:
-        ac5 = []
+        ac5, ba = [], []
         for i, u in enumerate(np.linspace(0.0, 1.0, 25)):
             state = [-np.pi * (1 - u), -8.0 * (1 - u)]
             ac5.append(count(state, cfg.seed + i))
+            ba.append(oracle_empowerment(model, state).iterations)
         grid = [count(s, cfg.seed + i) for i, s in enumerate(cfg.grid_states())]
         steps = rollout(ROLLOUT_STEPS)
     finally:
@@ -85,6 +89,7 @@ def evaluations():
     lines = [f"ac5[{i}] calls {c} lanes {n}" for i, (c, n) in enumerate(ac5)]
     calls, lane_evals = np.array(ac5).mean(axis=0)
     lines.append(f"ac5 mean calls {calls:.2f} lanes {lane_evals:.2f}")
+    lines.append(f"ac5 oracle evaluations mean {np.mean(ba):.2f} max {max(ba)}")
     grid = np.array(grid)
     for name, column in zip(("calls", "lanes"), grid.T):
         lines.append(
