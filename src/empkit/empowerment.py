@@ -1,14 +1,20 @@
 """Efficient empowerment: maximize the Gaussian-channel mutual-information
 objective over a per-state Gaussian action distribution.
 
-The objective is a reparameterized Monte Carlo average of closed-form KL
-divergences between the conditional next-state Gaussian (per sampled
-action) and the marginal next-state Gaussian obtained by moment
-propagation with the action slots carrying the policy's mean and variance.
-Common random numbers (one fixed eps draw per restart) make the objective
-deterministic and smooth, so a projected quasi-Newton (BFGS) ascent with
-analytic gradients applies; the gradients are verified against central
-finite differences in the test suite.
+The objective averages closed-form KL divergences from the conditional
+next-state Gaussian of each action to a Gaussian marginal q.  For a
+one-dimensional action both the average and q come from K = 20
+Gauss-Hermite nodes of the policy: q is the moment match of the node
+conditionals' mixture, exact in its mean and variance, and the objective
+is the node-weighted mean of their KL divergences to q; it draws no random
+numbers.  For a multi-dimensional action, q comes from moment propagation
+through the dynamics net with the action slots carrying the policy's mean
+and variance (first-order delta method on the nonlinear units), and the
+average is a reparameterized Monte Carlo mean over one fixed eps draw per
+restart (common random numbers).  Either objective is deterministic and
+smooth, so a projected quasi-Newton (BFGS) ascent with analytic gradients
+applies; the gradients are verified against central finite differences in
+the test suite.
 """
 
 from __future__ import annotations
@@ -38,11 +44,12 @@ __all__ = [
 LOG_STD_MIN = -6.0
 LOG_STD_MAX = 2.0
 
-# An optimizer iterate is only accepted when the mean squared mismatch
-# between sampled conditional means and the propagated marginal mean stays
-# within this factor of the marginal variance; 3 leaves room for Monte
-# Carlo fluctuation while rejecting the saturated regime where the
-# mismatch exceeds the propagated variance by orders of magnitude.
+# Multi-dimensional actions only (the node rule is consistent by the law
+# of total variance): an optimizer iterate is accepted when the mean
+# squared mismatch between sampled conditional means and the propagated
+# marginal mean stays within this factor of the marginal variance; 3 leaves
+# room for Monte Carlo fluctuation while rejecting the saturated regime
+# where the mismatch exceeds the propagated variance by orders of magnitude.
 _CONSISTENCY_FACTOR = 3.0
 
 # Armijo sufficient-increase constant, backtracking budget (step halvings)
@@ -50,6 +57,26 @@ _CONSISTENCY_FACTOR = 3.0
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 30
 _CURVATURE_TOL = 1e-10
+
+# Probabilists' Gauss-Hermite rule of K = 20 points (numpy's hermegauss(20),
+# weights divided by their sum), stored so that importing the package
+# loads no numpy.polynomial; the rule is symmetric, and the positive half
+# is mirrored.  E_{x~N(0,1)} f(x) = sum_k w_k f(x_k), exact for polynomials
+# of degree < 40.
+_GH_HALF = np.array([
+    [0.3469641570813559, 0.2607930634495548],
+    [1.042945348802751, 0.16173933398400003],
+    [1.7452473208141268, 0.06150637206397696],
+    [2.458663611172368, 0.013997837447100996],
+    [3.1890148165533896, 0.0018301031310804924],
+    [3.9439673506573163, 0.00012882627996192942],
+    [4.734581334046055, 4.4021210902308646e-06],
+    [5.5787388058932015, 6.127490259982928e-08],
+    [6.510590157013654, 2.4820623623151797e-10],
+    [7.619048541679758, 1.2578006724379264e-13],
+])
+_GH_NODES = np.concatenate([-_GH_HALF[::-1, 0], _GH_HALF[:, 0]])
+_GH_WEIGHTS = np.concatenate([_GH_HALF[::-1, 1], _GH_HALF[:, 1]])
 
 
 @dataclass(frozen=True)
@@ -83,7 +110,7 @@ class GaussianPolicy:
 class OptimizerOptions:
     max_iter: int = 200
     grad_tol: float = 1e-4
-    restarts: int = 4
+    restarts: int = 1
     mc_samples: int = 32
     seed: int = 0
 
@@ -125,27 +152,77 @@ def _check_policy(model: DynamicsModel, policy: GaussianPolicy) -> None:
 def marginal_transition(
     model: DynamicsModel, state, policy: GaussianPolicy
 ) -> DiagonalGaussian:
-    """p(x'|x) with the action marginalized out by moment propagation
-    through the dynamics net (see ``DynamicsModel._lane_pass``)."""
+    """p(x'|x) with the action marginalized out, as the objective forms it.
+
+    For a one-dimensional action: the mean and variance of the mixture of
+    the conditionals at the policy's 20 Gauss-Hermite nodes.  Otherwise:
+    moment propagation through the dynamics net (see
+    ``DynamicsModel._lane_pass``).
+    """
     state = _as_vector(state, model.state_dim, "state")
     _check_policy(model, policy)
-    mq, vq, _, _, _ = model._lane_pass(
-        state,
-        policy.action_mean[None],
-        np.exp(2.0 * policy.action_log_std)[None],
-        np.empty((1, 0, model.action_dim)),
-    )
+    mean, log_std = policy.action_mean[None], policy.action_log_std[None]
+    if policy.dim == 1:
+        mq, vq = _node_moments(model, state, mean, log_std)[:2]
+    else:
+        mq, vq = model._lane_pass(
+            state, mean, np.exp(2.0 * log_std), np.empty((1, 0, policy.dim))
+        )[:2]
     return DiagonalGaussian(mq[0], vq[0])
 
 
-def _mi_core(model, state, mean, log_std, eps, want_grad):
-    """Objective (and optionally its gradient) at fixed eps draws, per lane.
-
-    ``mean`` and ``log_std`` are (lanes, k) and ``eps`` is (lanes, n, k);
-    every lane shares ``state``.  Returns arrays over lanes: the value, the
-    gradients wrt mean and log-std (None without ``want_grad``) and the
-    self-consistency flag.
+def _node_moments(model, state, mean, log_std):
+    """The conditionals at each lane's Gauss-Hermite node actions
+    mean + exp(log_std) * x_k, for (lanes, 1) ``mean`` and ``log_std``, and
+    their mixture's moments: M and V (lanes, d), the nodes' offsets from M
+    and variances (lanes, K, d), the action offsets exp(log_std) * x_k
+    (lanes, K, 1) and the lane pass's tape, whose moment row goes unread.
     """
+    offsets = np.exp(log_std)[:, None, :] * _GH_NODES[:, None]
+    _, _, mp, vp, tape = model._lane_pass(
+        state, mean, np.exp(2.0 * log_std), mean[:, None, :] + offsets
+    )
+    w = _GH_WEIGHTS[:, None]
+    M = (w * mp).sum(axis=1)
+    dm = mp - M[:, None, :]
+    V = (w * (vp + dm * dm)).sum(axis=1)
+    return M, V, dm, vp, offsets, tape
+
+
+def _mi_core(model, state, mean, log_std, eps, want_grad):
+    """Objective (and optionally its gradient), per lane.
+
+    ``mean`` and ``log_std`` are (lanes, k) and every lane shares
+    ``state``.  Returns arrays over lanes: the value, the gradients wrt
+    mean and log-std (None without ``want_grad``) and the self-consistency
+    flag.
+
+    For k = 1 the value is sum_k w_k KL(N(m_k, v_k) || N(M, V)) over the
+    Gauss-Hermite nodes (see ``_node_moments``), ``eps`` is not read and
+    the flag is always true.  Its gradient holds q = N(M, V) fixed: q is
+    the Gaussian closest to the node mixture in the KL the value sums, so
+    the derivative through (M, V) is zero.  For k > 1 ``eps`` is
+    (lanes, n, k), one fixed draw per lane, and the value is the mean KL
+    from the conditionals at the actions mean + exp(log_std) * eps to the
+    delta-method marginal.
+    """
+    if mean.shape[1] == 1:
+        M, V, dm, vp, offsets, tape = _node_moments(model, state, mean, log_std)
+        w = _GH_WEIGHTS[:, None]
+        # the node terms (v_k + dm_k^2) / 2V sum to 1/2 with the weights, so
+        # the weighted KL sum is (ln V - sum_k w_k ln v_k) / 2 per dimension
+        value = 0.5 * (np.log(V) - (w * np.log(vp)).sum(axis=1)).sum(axis=1)
+        consistent = np.ones(len(mean), dtype=bool)
+        if not want_grad:
+            return value, None, None, consistent
+        V = V[:, None, :]
+        zero = np.zeros_like(M)
+        _, ga, _ = model._lane_reverse(
+            tape, zero, zero, w * dm / V, w * (0.5 / V - 0.5 / vp)
+        )
+        # node action k is mean + exp(log_std) * x_k
+        return value, ga.sum(axis=1), (ga * offsets).sum(axis=1), consistent
+
     n = eps.shape[1]
     sigma_eps = np.exp(log_std)[:, None, :] * eps
     var_a = np.exp(2.0 * log_std)
@@ -188,19 +265,21 @@ def _draw_eps(seed: int, mc_samples: int, action_dim: int) -> np.ndarray:
 
 
 def _objective(model, state, policy, mc_samples, seed, want_grad):
-    """Validated inputs, the seed's eps draw and one single-lane
-    ``_mi_core`` call: the value, with the gradient if ``want_grad``."""
+    """Validated inputs, the seed's eps draw (k > 1 only) and one
+    single-lane ``_mi_core`` call: the value, with the gradient if
+    ``want_grad``."""
     state = _as_vector(state, model.state_dim, "state")
     _check_policy(model, policy)
     _check_int("mc_samples", mc_samples)
     _check_int("seed", seed, minimum=0)
-    eps = _draw_eps(seed, mc_samples, model.action_dim)
+    k = model.action_dim
+    eps = _draw_eps(seed, mc_samples, k)[None] if k > 1 else None
     value, gmean, glog, _ = _mi_core(
         model,
         state,
         policy.action_mean[None],
         policy.action_log_std[None],
-        eps[None],
+        eps,
         want_grad,
     )
     if not want_grad:
@@ -215,11 +294,19 @@ def mi_lower_bound(
     mc_samples: int,
     seed: int,
 ) -> float:
-    """Monte Carlo mutual-information objective, deterministic per seed.
+    """Mutual-information objective E_a KL(p(x'|x,a) || q) of ``policy``.
 
-    Not a lower bound: it estimates E_a KL(p(x'|x,a) || q), q the propagated
-    marginal, and for any q that is I_pi(A; X') + KL(p_pi(x'|x) || q) >=
-    I_pi(A; X').  The name stays because perfbench/workloads.py calls it.
+    For a one-dimensional action the expectation is the 20-node
+    Gauss-Hermite rule and q the node mixture's moments
+    (``marginal_transition``); ``mc_samples`` and ``seed`` are validated and
+    have no effect.  Otherwise it is a Monte Carlo mean over ``mc_samples``
+    eps rows drawn from ``seed``, deterministic per seed, with q the
+    propagated marginal.
+
+    Not a lower bound: for any q the objective is
+    I_pi(A; X') + KL(p_pi(x'|x) || q) >= I_pi(A; X').  The name and the
+    two sampling arguments stay because perfbench/workloads.py calls it
+    with them.
     """
     return _objective(model, state, policy, mc_samples, seed, False)
 
@@ -232,8 +319,9 @@ def mi_lower_bound_with_gradient(
     seed: int,
 ):
     """Objective plus analytic gradient wrt (action_mean, action_log_std).
-    As with ``mi_lower_bound``, the objective is not a lower bound on I_pi,
-    and the name stays because perfbench/workloads.py calls it."""
+    As with ``mi_lower_bound``, ``mc_samples`` and ``seed`` have no effect
+    for a one-dimensional action, the objective is not a lower bound on
+    I_pi, and the name stays because perfbench/workloads.py calls it."""
     return _objective(model, state, policy, mc_samples, seed, True)
 
 
@@ -353,12 +441,13 @@ def maximize_empowerment(
 ) -> EmpowermentEstimate:
     """Ascend the MI objective with projected BFGS; best result over restarts.
 
-    Restart r uses seed ``opts.seed + r`` for its (fixed) eps draw, so each
-    restart ascends a deterministic smooth objective with analytic
-    gradients.  The ascent is a quasi-Newton (BFGS) iteration over
-    (action_mean, action_log_std) with Armijo backtracking, log-std clipped
-    to ``[LOG_STD_MIN, LOG_STD_MAX]``; one iteration may take several
-    objective evaluations.  The restarts advance in lockstep: each round
+    The objective is deterministic and smooth with analytic gradients (see
+    ``_mi_core``).  Restart r > 0 starts from a mean kicked by a draw from
+    seed ``opts.seed + r``; for a multi-dimensional action that stream
+    also gives restart r its fixed eps draw.  The ascent is a quasi-Newton
+    (BFGS) iteration over (action_mean, action_log_std) with Armijo
+    backtracking, log-std clipped to ``[LOG_STD_MIN, LOG_STD_MAX]``; one
+    iteration may take several objective evaluations.  The restarts advance in lockstep: each round
     evaluates the next trial point of every live restart in one batched
     objective call, one lane per restart, and a lane's numbers do not
     depend on the others.  Each restart keeps its best self-consistent
@@ -372,19 +461,23 @@ def maximize_empowerment(
     state = _as_vector(state, model.state_dim, "state")
     k = model.action_dim
 
+    # the Gauss-Hermite objective of a one-dimensional action takes no eps
+    n = opts.mc_samples if k > 1 else 0
     eps, ascents, trials = [], [], []
     for r in range(opts.restarts):
-        # one stream per restart: its first rows are eps, its last row the
+        # one stream per restart: its first n rows are eps, its last row the
         # initial-mean kick
-        draw = _draw_eps(opts.seed + r, opts.mc_samples + 1, k)
+        draw = _draw_eps(opts.seed + r, n + 1, k)
         eps.append(draw[:-1])
         # restart 0 starts at the canonical initial policy; later restarts
         # perturb the initial mean to reach other basins of the objective.
-        # The perturbation is kept small: for saturating dynamics the
-        # surrogate (delta-method marginal) is only trustworthy near the
-        # activations' linear range, and far-out means can inflate the
-        # objective spuriously (the propagated marginal variance collapses
-        # while the sampled conditional means still spread).
+        # For k = 1 that is all that sets them apart, and on the pendulum
+        # four restarts find the value of one to 2.5e-7.  The perturbation is
+        # kept small: for saturating dynamics the delta-method marginal
+        # (k > 1) is only trustworthy near the activations' linear range,
+        # and far-out means can inflate that objective spuriously (the
+        # propagated marginal variance collapses while the sampled
+        # conditional means still spread).
         mean = (0.5 * draw[-1]).tolist() if r > 0 else [0.0] * k
         ascents.append(_ascend(mean + [-1.0] * k, opts))
         trials.append(next(ascents[-1]))

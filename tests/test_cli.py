@@ -175,13 +175,23 @@ class TestLandscapeCommand:
         cli._write_pgm(path, np.array([[1.5, 1.5, 1.5], [1.5, np.nan, 1.5]]))
         assert path.read_text() == "P2\n3 2\n255\n0 0 0\n0 0 0\n"
 
-    def test_seed_override_changes_output(self, tmp_path):
+    def test_seed_override_reaches_every_cell(self, tmp_path, monkeypatch):
+        # with a one-dimensional action the seed only places the restart
+        # kicks r > 0, which leave these cells' values as they are, so the
+        # override is checked where it lands: cell i runs with seed + i
+        seeds = []
+        run = empkit.empowerment.maximize_empowerment
+
+        def recorded(model, state, opts):
+            seeds.append(opts.seed)
+            return run(model, state, opts)
+
+        monkeypatch.setattr(empkit.empowerment, "maximize_empowerment", recorded)
         cfg = write_config(tmp_path)
-        main(["landscape", "--config", str(cfg), "--seed", "0"])
-        a = (tmp_path / "out" / "landscape.csv").read_bytes()
-        main(["landscape", "--config", str(cfg), "--seed", "1"])
-        b = (tmp_path / "out" / "landscape.csv").read_bytes()
-        assert a != b
+        for seed in (0, 5):
+            seeds.clear()
+            main(["landscape", "--config", str(cfg), "--seed", str(seed)])
+            assert seeds == [seed, seed + 1, seed + 2, seed + 3]
 
 
 class TestSpearman:
@@ -238,14 +248,6 @@ class TestCompareOracleCommand:
         assert all(row[3] == "" for row in rows[1:])
 
     @pytest.mark.slow
-    @pytest.mark.xfail(
-        reason="rank agreement on uniformly sampled states plateaus around "
-        "0.76-0.86: the gap to the oracle is a systematic state-dependent "
-        "bias of the delta-method marginal, not Monte Carlo noise (raising "
-        "mc_samples to 256 does not move it), so near-tied states order "
-        "inconsistently; a monotone deterministic state sweep is used for "
-        "rank validation instead (see the acceptance suite)",
-    )
     def test_default_run_reaches_spearman_target(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"out_dir": str(tmp_path / "out")}))

@@ -1,9 +1,11 @@
-"""scipy stays out of the estimator's path.
+"""scipy and numpy.polynomial stay out of the estimator's path.
 
 ``import empkit`` and the ``landscape`` and ``rollout`` commands need numpy
-only; scipy.special is imported by the oracle's binning step on first use,
-and ``compare-oracle`` needs no scipy.stats.  The checks run in a fresh
-interpreter, because the test process itself has long since imported scipy.
+only, and not numpy.polynomial: the estimator's Gauss-Hermite rule is
+stored, not computed.  scipy.special is imported by the oracle's binning
+step on first use, and ``compare-oracle`` needs no scipy.stats.  The checks
+run in a fresh interpreter, because the test process itself has long since
+imported scipy.
 """
 
 import json
@@ -28,9 +30,11 @@ assert empkit.cli.main(
     ["rollout", "--config", cfg, "--start", "3.0,0.0", "--steps", "2"]
 ) == 0
 before = sorted(m for m in sys.modules if m.startswith("scipy"))
+polynomial = "numpy.polynomial" in sys.modules
 res = oracle_empowerment(model, [0.0, 0.0])
 print(json.dumps({
     "before": before,
+    "polynomial": polynomial,
     "after": "scipy.special" in sys.modules,
     "converged": res.converged,
 }))
@@ -52,6 +56,7 @@ def test_estimator_commands_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["before"] == []
+    assert not result["polynomial"]
     assert result["after"] and result["converged"]
     assert (tmp_path / "landscape.csv").exists()
     assert (tmp_path / "rollout.csv").exists()
