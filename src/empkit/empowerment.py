@@ -2,19 +2,14 @@
 objective over a per-state Gaussian action distribution.
 
 The objective averages closed-form KL divergences from the conditional
-next-state Gaussian of each action to a Gaussian marginal q.  For a
-one-dimensional action both the average and q come from K = 20
-Gauss-Hermite nodes of the policy: q is the moment match of the node
-conditionals' mixture, exact in its mean and variance, and the objective
-is the node-weighted mean of their KL divergences to q; it draws no random
-numbers.  For a multi-dimensional action, q comes from moment propagation
-through the dynamics net with the action slots carrying the policy's mean
-and variance (first-order delta method on the nonlinear units), and the
-average is a reparameterized Monte Carlo mean over one fixed eps draw per
-restart (common random numbers).  Either objective is deterministic and
-smooth, so a projected quasi-Newton (BFGS) ascent with analytic gradients
-applies; the gradients are verified against central finite differences in
-the test suite.
+next-state Gaussians at a set of weighted node actions of the policy to
+q, the moment match of their mixture (exact in its mean and variance).
+For a one-dimensional action the nodes are K = 20 Gauss-Hermite points;
+for a multi-dimensional one they are a fixed eps draw of equal weights
+(common random numbers), one per restart.  Either objective is
+deterministic and smooth, so a projected quasi-Newton (BFGS) ascent with
+analytic gradients applies; the gradients are verified against central
+finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -43,14 +38,6 @@ __all__ = [
 
 LOG_STD_MIN = -6.0
 LOG_STD_MAX = 2.0
-
-# Multi-dimensional actions only (the node rule is consistent by the law
-# of total variance): an optimizer iterate is accepted when the mean
-# squared mismatch between sampled conditional means and the propagated
-# marginal mean stays within this factor of the marginal variance; 3 leaves
-# room for Monte Carlo fluctuation while rejecting the saturated regime
-# where the mismatch exceeds the propagated variance by orders of magnitude.
-_CONSISTENCY_FACTOR = 3.0
 
 # Armijo sufficient-increase constant, backtracking budget (step halvings)
 # and the relative curvature s.y below which a BFGS update is skipped
@@ -130,8 +117,7 @@ class EmpowermentEstimate:
     restart (one iteration may take several objective evaluations);
     ``converged`` refers to the returned policy: its projected gradient's
     infinity norm ``grad_norm`` is below ``grad_tol``.  ``restarts_failed``
-    counts the restarts whose objective turned non-finite or that found no
-    self-consistent iterate.
+    counts the restarts whose objective turned non-finite.
     """
 
     value: float
@@ -152,112 +138,76 @@ def _check_policy(model: DynamicsModel, policy: GaussianPolicy) -> None:
 def marginal_transition(
     model: DynamicsModel, state, policy: GaussianPolicy
 ) -> DiagonalGaussian:
-    """p(x'|x) with the action marginalized out, as the objective forms it.
-
-    For a one-dimensional action: the mean and variance of the mixture of
-    the conditionals at the policy's 20 Gauss-Hermite nodes.  Otherwise:
-    moment propagation through the dynamics net (see
-    ``DynamicsModel._lane_pass``).
+    """p(x'|x) with the action marginalized out, as the objective forms it:
+    the mean and variance of the mixture of the conditionals at the
+    policy's node actions.  For a one-dimensional action the nodes are the
+    20 Gauss-Hermite points; otherwise the eps draw of the default options,
+    ``OptimizerOptions.mc_samples`` rows from seed 0, so this is the q of
+    ``mi_lower_bound(model, state, policy, 32, 0)``.
     """
     state = _as_vector(state, model.state_dim, "state")
     _check_policy(model, policy)
-    mean, log_std = policy.action_mean[None], policy.action_log_std[None]
-    if policy.dim == 1:
-        mq, vq = _node_moments(model, state, mean, log_std)[:2]
-    else:
-        mq, vq = model._lane_pass(
-            state, mean, np.exp(2.0 * log_std), np.empty((1, 0, policy.dim))
-        )[:2]
-    return DiagonalGaussian(mq[0], vq[0])
+    k = policy.dim
+    eps = _draw_eps(0, OptimizerOptions.mc_samples, k)[None] if k > 1 else None
+    M, V = _node_moments(
+        model, state, policy.action_mean[None], policy.action_log_std[None], eps
+    )[:2]
+    return DiagonalGaussian(M[0], V[0])
 
 
-def _node_moments(model, state, mean, log_std):
-    """The conditionals at each lane's Gauss-Hermite node actions
-    mean + exp(log_std) * x_k, for (lanes, 1) ``mean`` and ``log_std``, and
-    their mixture's moments: M and V (lanes, d), the nodes' offsets from M
-    and variances (lanes, K, d), the action offsets exp(log_std) * x_k
-    (lanes, K, 1) and the lane pass's tape, whose moment row goes unread.
+def _node_moments(model, state, mean, log_std, eps):
+    """The conditionals at each lane's node actions mean + exp(log_std) * x_i
+    and their mixture's moments, for (lanes, k) ``mean`` and ``log_std``.
+
+    For k = 1 the nodes x_i are the Gauss-Hermite points with their weights
+    and ``eps`` is not read; otherwise they are the rows of ``eps``
+    (lanes, n, k), each of weight 1/n.  Returns M and V (lanes, d), the
+    nodes' offsets from M and variances (lanes, n, d), the weights, the
+    action offsets exp(log_std) * x_i (lanes, n, k) and the lane pass's
+    tape.
     """
-    offsets = np.exp(log_std)[:, None, :] * _GH_NODES[:, None]
-    _, _, mp, vp, tape = model._lane_pass(
-        state, mean, np.exp(2.0 * log_std), mean[:, None, :] + offsets
-    )
-    w = _GH_WEIGHTS[:, None]
+    if mean.shape[1] == 1:
+        nodes, w = _GH_NODES[:, None], _GH_WEIGHTS[:, None]
+    else:
+        nodes, w = eps, 1.0 / eps.shape[1]
+    offsets = np.exp(log_std)[:, None, :] * nodes
+    mp, vp, tape = model._lane_pass(state, mean[:, None, :] + offsets)
     M = (w * mp).sum(axis=1)
     dm = mp - M[:, None, :]
     V = (w * (vp + dm * dm)).sum(axis=1)
-    return M, V, dm, vp, offsets, tape
+    return M, V, dm, vp, w, offsets, tape
 
 
 def _mi_core(model, state, mean, log_std, eps, want_grad):
     """Objective (and optionally its gradient), per lane.
 
     ``mean`` and ``log_std`` are (lanes, k) and every lane shares
-    ``state``.  Returns arrays over lanes: the value, the gradients wrt
-    mean and log-std (None without ``want_grad``) and the self-consistency
-    flag.
+    ``state``; ``eps`` is (lanes, n, k), one fixed draw per lane, read only
+    for k > 1.  Returns arrays over lanes: the value and the gradients wrt
+    mean and log-std (None without ``want_grad``).
 
-    For k = 1 the value is sum_k w_k KL(N(m_k, v_k) || N(M, V)) over the
-    Gauss-Hermite nodes (see ``_node_moments``), ``eps`` is not read and
-    the flag is always true.  Its gradient holds q = N(M, V) fixed: q is
-    the Gaussian closest to the node mixture in the KL the value sums, so
-    the derivative through (M, V) is zero.  For k > 1 ``eps`` is
-    (lanes, n, k), one fixed draw per lane, and the value is the mean KL
-    from the conditionals at the actions mean + exp(log_std) * eps to the
-    delta-method marginal.
+    The value is sum_i w_i KL(N(m_i, v_i) || N(M, V)) over the node
+    actions of ``_node_moments``.  Its gradient holds q = N(M, V) fixed: q
+    is the Gaussian closest to the weighted node mixture in the KL the
+    value sums, so the derivative through (M, V) is zero for any weights.
     """
-    if mean.shape[1] == 1:
-        M, V, dm, vp, offsets, tape = _node_moments(model, state, mean, log_std)
-        w = _GH_WEIGHTS[:, None]
-        # the node terms (v_k + dm_k^2) / 2V sum to 1/2 with the weights, so
-        # the weighted KL sum is (ln V - sum_k w_k ln v_k) / 2 per dimension
-        value = 0.5 * (np.log(V) - (w * np.log(vp)).sum(axis=1)).sum(axis=1)
-        consistent = np.ones(len(mean), dtype=bool)
-        if not want_grad:
-            return value, None, None, consistent
-        V = V[:, None, :]
-        zero = np.zeros_like(M)
-        _, ga, _ = model._lane_reverse(
-            tape, zero, zero, w * dm / V, w * (0.5 / V - 0.5 / vp)
-        )
-        # node action k is mean + exp(log_std) * x_k
-        return value, ga.sum(axis=1), (ga * offsets).sum(axis=1), consistent
-
-    n = eps.shape[1]
-    sigma_eps = np.exp(log_std)[:, None, :] * eps
-    var_a = np.exp(2.0 * log_std)
-    actions = mean[:, None, :] + sigma_eps
-    mq, vq, mp, vp, tape = model._lane_pass(state, mean, var_a, actions)
-    mq, vq = mq[:, None, :], vq[:, None, :]  # broadcast over the sampled rows
-
-    dm = mp - mq
-    dm2 = dm * dm
-    vp_dm2 = vp + dm2
-    kl = 0.5 * (np.log(vq) - np.log(vp)) + vp_dm2 / (2.0 * vq) - 0.5
-    value = kl.reshape(len(kl), -1).sum(axis=1) / n
-    # self-consistency of the surrogate: the marginal variance produced by
-    # moment propagation should account for the spread of the sampled
-    # conditional means; when it does not (saturated action means), the KL
-    # terms inflate spuriously and the value is not trustworthy
-    consistent = (dm2.sum(axis=1) / n <= _CONSISTENCY_FACTOR * vq[:, 0]).all(axis=1)
+    M, V, dm, vp, w, offsets, tape = _node_moments(model, state, mean, log_std, eps)
+    # the node terms (v_i + dm_i^2) / 2V sum to 1/2 with the weights, so
+    # the weighted KL sum is (ln V - sum_i w_i ln v_i) / 2 per dimension
+    value = 0.5 * (np.log(V) - (w * np.log(vp)).sum(axis=1)).sum(axis=1)
     if not want_grad:
-        return value, None, None, consistent
+        return value, None, None
+    V = V[:, None, :]
+    ga = model._lane_reverse(tape, w * dm / V, w * (0.5 / V - 0.5 / vp))
+    # node action i is mean + exp(log_std) * x_i
+    return value, ga.sum(axis=1), (ga * offsets).sum(axis=1)
 
-    # d KL / d (mq, vq, mp, vp).  Negation is exact, so -(dm / vq) summed
-    # equals the sum of -dm / vq bit for bit.
-    dm_vq = dm / vq
-    half_vq = 0.5 / vq
-    gmean, ga, gvar = model._lane_reverse(
-        tape,
-        dm_vq.sum(axis=1) / -n,
-        (half_vq - vp_dm2 / (2.0 * vq**2)).sum(axis=1) / n,
-        dm_vq / n,
-        (half_vq - 0.5 / vp) / n,
-    )
-    # reparameterisation: action row i is mean + exp(log_std) * eps_i
-    gmean = ga.sum(axis=1) + gmean
-    glog = (ga * sigma_eps).sum(axis=1) + gvar * 2.0 * var_a
-    return value, gmean, glog, consistent
+
+def _check_mc_samples(mc_samples, action_dim):
+    # with one eps row the mixture is that row's conditional: the objective
+    # is identically 0 and an ascent would stop at its start
+    if action_dim > 1 and mc_samples < 2:
+        raise ValueError("mc_samples must be >= 2 for a multi-dimensional action")
 
 
 def _draw_eps(seed: int, mc_samples: int, action_dim: int) -> np.ndarray:
@@ -273,8 +223,9 @@ def _objective(model, state, policy, mc_samples, seed, want_grad):
     _check_int("mc_samples", mc_samples)
     _check_int("seed", seed, minimum=0)
     k = model.action_dim
+    _check_mc_samples(mc_samples, k)
     eps = _draw_eps(seed, mc_samples, k)[None] if k > 1 else None
-    value, gmean, glog, _ = _mi_core(
+    value, gmean, glog = _mi_core(
         model,
         state,
         policy.action_mean[None],
@@ -296,12 +247,12 @@ def mi_lower_bound(
 ) -> float:
     """Mutual-information objective E_a KL(p(x'|x,a) || q) of ``policy``.
 
-    For a one-dimensional action the expectation is the 20-node
-    Gauss-Hermite rule and q the node mixture's moments
-    (``marginal_transition``); ``mc_samples`` and ``seed`` are validated and
-    have no effect.  Otherwise it is a Monte Carlo mean over ``mc_samples``
-    eps rows drawn from ``seed``, deterministic per seed, with q the
-    propagated marginal.
+    The expectation is over the node actions of ``marginal_transition``
+    and q is their mixture's moments.  For a one-dimensional action the
+    nodes are the 20-point Gauss-Hermite rule, and ``mc_samples`` and
+    ``seed`` are validated and have no effect.  Otherwise they are
+    ``mc_samples`` >= 2 eps rows drawn from ``seed``, of equal weight, so
+    the value is deterministic per seed.
 
     Not a lower bound: for any q the objective is
     I_pi(A; X') + KL(p_pi(x'|x) || q) >= I_pi(A; X').  The name and the
@@ -334,12 +285,12 @@ def _ascend(x, opts):
     """Projected BFGS ascent of one restart from ``x`` = (mean, log_std).
 
     A generator: it yields each trial point as a list and is sent back
-    that point's ``(value, gradient, consistent)``, the gradient over
-    (mean, log_std) as an array.  It returns ``(best, iterations)``.
-    ``best`` is the last self-consistent iterate along the path as
-    ``(value, mean, log_std, grad_norm)``, ``grad_norm`` the infinity norm
-    of its projected gradient, or None when no iterate was consistent.
-    Raises FloatingPointError on a non-finite objective.
+    that point's ``(value, gradient)``, the gradient over (mean, log_std)
+    as an array.  It returns ``(best, iterations)``.  ``best`` is the last
+    accepted iterate as ``(value, mean, log_std, grad_norm)``,
+    ``grad_norm`` the infinity norm of its projected gradient; values never
+    fall along the path, so it is the best iterate.  Raises
+    FloatingPointError on a non-finite objective.
 
     Each trial step starts at unit length or shorter: the steepest step is
     the projected gradient scaled to length 1, and a quasi-Newton step
@@ -360,7 +311,7 @@ def _ascend(x, opts):
     eye = np.eye(2 * k)
 
     def evaluate(x):
-        value, g, ok = yield x
+        value, g = yield x
         if not math.isfinite(value):
             raise FloatingPointError("non-finite objective")
         gl = g.tolist()
@@ -370,10 +321,9 @@ def _ascend(x, opts):
             for xi, gi, l, h in zip(x, gl, lo, hi)
         ]
         pg = [0.0 if hd else gi for hd, gi in zip(held, gl)]
-        return value, g, pg, held, _inf_norm(pg), ok
+        return value, g, pg, held, _inf_norm(pg)
 
-    f, g, pg, held, norm, ok = yield from evaluate(x)
-    best = (f, x[:k], x[k:], norm) if ok else None
+    f, g, pg, held, norm = yield from evaluate(x)
     hess_inv = None  # None until a curvature pair is accepted
     iters = 0
     while norm >= opts.grad_tol and iters < opts.max_iter:
@@ -407,9 +357,7 @@ def _ascend(x, opts):
             s = np.array([a - b for a, b in zip(x_new, x)])
             gain = g.dot(s)
             if gain > 0.0:
-                f_new, g_new, pg_new, held_new, norm_new, ok = yield from evaluate(
-                    x_new
-                )
+                f_new, g_new, pg_new, held_new, norm_new = yield from evaluate(x_new)
                 if f_new >= f + _ARMIJO * gain:
                     break
             t *= 0.5
@@ -429,11 +377,9 @@ def _ascend(x, opts):
             v = eye - s[:, None] * y / sy
             hess_inv = v.dot(hess_inv).dot(v.T) + s[:, None] * s / sy
         x, f, g, pg, held, norm = x_new, f_new, g_new, pg_new, held_new, norm_new
-        # an accepted value is >= f + 1e-4 * gain with gain > 0, so values
-        # never fall along the path and the last consistent iterate is best
-        if ok:
-            best = (f, x[:k], x[k:], norm)
-    return best, iters
+    # an accepted value is >= f + 1e-4 * gain with gain > 0, so values never
+    # fall along the path and the last accepted iterate is the best
+    return (f, x[:k], x[k:], norm), iters
 
 
 def maximize_empowerment(
@@ -447,12 +393,13 @@ def maximize_empowerment(
     also gives restart r its fixed eps draw.  The ascent is a quasi-Newton
     (BFGS) iteration over (action_mean, action_log_std) with Armijo
     backtracking, log-std clipped to ``[LOG_STD_MIN, LOG_STD_MAX]``; one
-    iteration may take several objective evaluations.  The restarts advance in lockstep: each round
-    evaluates the next trial point of every live restart in one batched
-    objective call, one lane per restart, and a lane's numbers do not
-    depend on the others.  Each restart keeps its best self-consistent
-    iterate; a restart whose objective turns non-finite, or that finds no
-    self-consistent iterate, counts as failed.  ``iterations`` is the
+    iteration may take several objective evaluations.  The restarts
+    advance in lockstep: each round evaluates the next trial point of every
+    live restart in one batched objective call, one lane per restart, and
+    a lane's numbers do not depend on the others.  Each restart keeps its
+    last accepted iterate, its best; a restart whose objective turns
+    non-finite counts as failed.  For a multi-dimensional action
+    ``opts.mc_samples`` must be at least 2.  ``iterations`` is the
     quasi-Newton iteration count of the winning restart; ``grad_norm`` is
     the infinity norm of the projected gradient (log-std components
     pushing against an active clamp are zeroed) at the returned policy,
@@ -460,6 +407,7 @@ def maximize_empowerment(
     """
     state = _as_vector(state, model.state_dim, "state")
     k = model.action_dim
+    _check_mc_samples(opts.mc_samples, k)
 
     # the Gauss-Hermite objective of a one-dimensional action takes no eps
     n = opts.mc_samples if k > 1 else 0
@@ -472,12 +420,7 @@ def maximize_empowerment(
         # restart 0 starts at the canonical initial policy; later restarts
         # perturb the initial mean to reach other basins of the objective.
         # For k = 1 that is all that sets them apart, and on the pendulum
-        # four restarts find the value of one to 2.5e-7.  The perturbation is
-        # kept small: for saturating dynamics the delta-method marginal
-        # (k > 1) is only trustworthy near the activations' linear range,
-        # and far-out means can inflate that objective spuriously (the
-        # propagated marginal variance collapses while the sampled
-        # conditional means still spread).
+        # four restarts find the value of one to 2.5e-7.
         mean = (0.5 * draw[-1]).tolist() if r > 0 else [0.0] * k
         ascents.append(_ascend(mean + [-1.0] * k, opts))
         trials.append(next(ascents[-1]))
@@ -490,14 +433,14 @@ def maximize_empowerment(
     with np.errstate(all="ignore"):
         while live:
             X = np.array([trials[r] for r in live])
-            value, gmean, glog, ok = _mi_core(
+            value, gmean, glog = _mi_core(
                 model, state, X[:, :k], X[:, k:], eps[live], True
             )
             grad = np.concatenate([gmean, glog], axis=1)
             running = []
-            for r, v, g, c in zip(live, value.tolist(), grad, ok.tolist()):
+            for r, v, g in zip(live, value.tolist(), grad):
                 try:
-                    trials[r] = ascents[r].send((v, g, c))
+                    trials[r] = ascents[r].send((v, g))
                     running.append(r)
                 except StopIteration as finished:
                     results[r] = finished.value
@@ -508,7 +451,7 @@ def maximize_empowerment(
     best = None
     failures = 0
     for result in results:
-        if result is None or result[0] is None:
+        if result is None:
             failures += 1
         elif best is None or result[0][0] > best[0]:
             best = (*result[0], result[1])

@@ -7,7 +7,9 @@ elementwise activation.  Two evaluation modes exist:
 * ``forward_moments``: pushes a diagonal Gaussian through the network.
   Affine layers use the exact linear-Gaussian rule (off-diagonal output
   covariance dropped), nonlinear activations use the first-order delta
-  method: mean -> f(mu), variance -> f'(mu)^2 * var.
+  method: mean -> f(mu), variance -> f'(mu)^2 * var.  The estimator does
+  not use it: it marginalizes the action over point evaluations
+  (``DynamicsModel._lane_pass``).
 
 Activations may be a single tag applied to the whole layer or a per-unit
 list of tags; the latter is needed to express mixed branches (e.g. a sine
@@ -39,16 +41,14 @@ VAR_FLOOR = 1e-8
 
 def _tanh_all(z):
     t = np.tanh(z)
-    d = 1.0 - t * t
-    return t, d, -2.0 * t * d
+    return t, 1.0 - t * t
 
 
 def _sine_all(z):
-    s = np.sin(z)
-    return s, np.cos(z), -s
+    return np.sin(z), np.cos(z)
 
 
-# tag -> z -> (f, f', f'') computed together; identity has no entry
+# tag -> z -> (f, f') computed together; identity has no entry
 _ACT = {"tanh": _tanh_all, "sine": _sine_all}
 
 
@@ -66,7 +66,6 @@ class LayerSpec:
     activation: object = "identity"
     _runs: tuple = field(init=False, repr=False, compare=False)
     _linear: bool = field(init=False, repr=False, compare=False)
-    _weights_sq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # copies, so that freezing them leaves the caller's arrays writable
@@ -98,13 +97,10 @@ class LayerSpec:
             start = stop
         w.setflags(write=False)
         b.setflags(write=False)
-        w_sq = w * w
-        w_sq.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
         object.__setattr__(self, "_runs", tuple(runs))
         object.__setattr__(self, "_linear", not runs)
-        object.__setattr__(self, "_weights_sq", w_sq)
 
     @property
     def in_dim(self) -> int:
@@ -115,11 +111,11 @@ class LayerSpec:
         return self.weights.shape[0]
 
     def act_all(self, z: np.ndarray):
-        """(f, f', f'') elementwise, one call per run of equal tags."""
-        f, df, d2f = z.copy(), np.ones(z.shape), np.zeros(z.shape)
+        """(f, f') elementwise, one call per run of equal tags."""
+        f, df = z.copy(), np.ones(z.shape)
         for tag, units in self._runs:
-            f[..., units], df[..., units], d2f[..., units] = _ACT[tag](z[..., units])
-        return f, df, d2f
+            f[..., units], df[..., units] = _ACT[tag](z[..., units])
+        return f, df
 
 
 @dataclass(frozen=True)
@@ -234,46 +230,29 @@ class DynamicsModel:
             y = y[0]
         return DiagonalGaussian(y[..., :d], np.exp(2.0 * y[..., d:]))
 
-    def _lane_pass(self, state, mean, var_a, actions):
-        """Marginal and conditionals of each lane from one fused pass.
+    def _lane_pass(self, state, actions):
+        """Conditionals of action rows from one point pass per lane.
 
-        A lane is a policy mean and action variance, rows of ``mean`` and
-        ``var_a`` (lanes, k), and action rows ``actions`` (lanes, n, k); all
-        lanes share ``state``.  Row 0 is the moment row: zero variance on
-        the state slots, the policy's on the action slots.  The output
-        halves (mean, log-std) give next-state Gaussians of variance
-        exp(2 * log-std), plus the mean half's propagated spread in row 0.
-        Returns the marginal means and variances (lanes, d), the conditional
-        ones (lanes, n, d) and the tape that ``_lane_reverse`` consumes.
+        ``actions`` is (lanes, n, k); every lane shares ``state``.  The
+        output halves (mean, log-std) give next-state Gaussians of variance
+        exp(2 * log-std).  Returns their means and variances (lanes, n, d)
+        and the tape that ``_lane_reverse`` consumes.
         """
         d = self.state_dim
         lanes, n, k = actions.shape
-        X = np.empty((lanes, n + 1, d + k))
+        X = np.empty((lanes, n, d + k))
         X[:, :, :d] = state
-        X[:, 0, d:] = mean
-        X[:, 1:, d:] = actions
-        v0 = np.concatenate([np.zeros((lanes, d)), var_a], axis=1)
-        Y, vM, trace = _fused_trace(self.net, X, v0)
-        noise = np.exp(2.0 * Y[:, 0, d:])
-        vp = np.exp(2.0 * Y[:, 1:, d:])
-        return Y[:, 0, :d], vM[:, :d] + noise, Y[:, 1:, :d], vp, (trace, noise, vp)
+        X[:, :, d:] = actions
+        Y, trace = _point_trace(self.net, X)
+        vp = np.exp(2.0 * Y[:, :, d:])
+        return Y[:, :, :d], vp, (trace, vp)
 
-    def _lane_reverse(self, tape, gmq, gvq, gmp, gvp):
-        """Reverse step of ``_lane_pass``: gradients wrt its four outputs
-        mapped onto the policy mean (lanes, k), each action row (lanes, n, k)
-        and the action variance (lanes, k)."""
-        trace, noise, vp = tape
-        d = self.state_dim
-        lanes, n, _ = gmp.shape
-        G = np.empty((lanes, n + 1, 2 * d))
-        G[:, 0, :d] = gmq
-        G[:, 0, d:] = gvq * 2.0 * noise
-        G[:, 1:, :d] = gmp
-        G[:, 1:, d:] = gvp * 2.0 * vp
-        gX, gv0 = _fused_backprop(
-            trace, G, np.concatenate([gvq, np.zeros((lanes, d))], axis=1)
-        )
-        return gX[:, 0, d:], gX[:, 1:, d:], gv0[:, d:]
+    def _lane_reverse(self, tape, gmp, gvp):
+        """Reverse step of ``_lane_pass``: gradients wrt its two outputs
+        mapped onto the action rows (lanes, n, k)."""
+        trace, vp = tape
+        G = np.concatenate([gmp, gvp * 2.0 * vp], axis=2)
+        return _point_backprop(trace, G)[:, :, self.state_dim :]
 
 
 def _check_input(net, dim):
@@ -297,62 +276,48 @@ def forward_moments(net: FeedforwardNet, g: DiagonalGaussian) -> DiagonalGaussia
     """
     g = _single(g)
     _check_input(net, g.dim)
-    H, v, _ = _fused_trace(net, g.mean[None, None, :], g.variance[None, :])
-    return DiagonalGaussian(H[0, 0], v[0])
+    # a (1, 1, in) mean and a (1, in) variance: BLAS rounds by the shapes
+    # of its products, and these are the shapes the outputs were pinned at
+    h, v = g.mean[None, None, :], g.variance[None, :]
+    for layer in net.layers:
+        h, df = layer.act_all(h @ layer.weights.T + layer.bias)
+        raw = df[:, 0] ** 2 * (v[:, None, :] @ (layer.weights**2).T)[:, 0]
+        v = np.where(raw > VAR_FLOOR, raw, VAR_FLOOR)
+    return DiagonalGaussian(h[0, 0], v[0])
 
 
 # ---------------------------------------------------------------------------
-# fused forward pass + hand-rolled reverse mode, behind the lane pass
+# point pass + hand-rolled reverse mode, behind the lane pass
 # ``DynamicsModel._lane_pass`` and its ``_lane_reverse`` (the nets here are
 # tiny; autodiff frameworks are not worth the dependency).
 #
 # Both passes carry a leading lane axis: lane l is an independent problem,
 # and every lane's numbers equal those of the same lane run alone, bit for
-# bit.  That is why the variance contractions are stacked per-lane
-# vector-matrix products, ``(v[:, None, :] @ W2.T)[:, 0]``: the same BLAS
-# matrix-vector call per lane for any lane count, where a 2-D
-# ``(lanes, in) @ (in, out)`` product switches to a matrix-matrix kernel
-# whose rounding depends on the lane count.
+# bit, because numpy computes a stacked (lanes, n, in) @ (in, out) product
+# one lane at a time, with the same BLAS call for any lane count.
 
 
-def _fused_trace(net, H, v):
-    """Moment row and sampled rows pushed through the net together, per lane.
-
-    ``H`` is (lanes, rows, in): row 0 of each lane is the mean of a diagonal
-    Gaussian whose variance is that lane's row of ``v`` (lanes, in); it
-    follows the moment rule while rows 1.. get plain point evaluation, all
-    with one matrix product per layer.  Returns the output rows, the
-    propagated variance and the trace that ``_fused_backprop`` consumes.
-    """
+def _point_trace(net, H):
+    """Point evaluation of ``H`` (lanes, rows, in) that keeps each layer's
+    f' for ``_point_backprop``; returns the output rows and that trace."""
     trace = []
     for layer in net.layers:
         Z = H @ layer.weights.T + layer.bias
-        va = (v[:, None, :] @ layer._weights_sq.T)[:, 0]
         if layer._linear:
-            # f' = 1 and f'' = 0: skipping their factors here and in the
-            # reverse pass keeps every finite value, up to the sign of a zero
-            H, dF, d2f, raw = Z, None, None, va
+            # f' = 1: skipping its factor here and in the reverse pass keeps
+            # every finite value, up to the sign of a zero
+            H, dF = Z, None
         else:
-            H, dF, d2F = layer.act_all(Z)
-            d2f, raw = d2F[:, 0], dF[:, 0] ** 2 * va
-        mask = raw > VAR_FLOOR
-        v = np.where(mask, raw, VAR_FLOOR)
-        trace.append((layer, dF, d2f, va, mask))
-    return H, v, trace
+            H, dF = layer.act_all(Z)
+        trace.append((layer, dF))
+    return H, trace
 
 
-def _fused_backprop(trace, G, gv):
-    """Reverse pass of ``_fused_trace``.
-
-    ``G`` holds the gradients wrt the output rows and ``gv`` the gradient
-    wrt the propagated variance; returns both wrt the inputs.
-    """
-    for layer, dF, d2f, va, mask in reversed(trace):
-        gv = np.where(mask, gv, 0.0)
+def _point_backprop(trace, G):
+    """Reverse pass of ``_point_trace``: the gradient ``G`` wrt the output
+    rows mapped onto the input rows."""
+    for layer, dF in reversed(trace):
         if dF is not None:
             G = dF * G
-            G[:, 0] += 2.0 * dF[:, 0] * d2f * va * gv
-            gv = dF[:, 0] ** 2 * gv
-        gv = (gv[:, None, :] @ layer._weights_sq)[:, 0]
         G = G @ layer.weights
-    return G, gv
+    return G

@@ -55,6 +55,20 @@ def tanh_model(sigma=0.5):
     return DynamicsModel(FeedforwardNet((layer,)), state_dim=1, action_dim=1)
 
 
+def linear_model(jacobian, noise):
+    """x' = x + J a + N(0, diag(noise^2)): a linear channel of any width."""
+    J = np.asarray(jacobian, dtype=float)
+    d, k = J.shape
+    weights = np.zeros((2 * d, d + k))
+    weights[:d, :d] = np.eye(d)
+    weights[:d, d:] = J
+    layer = LayerSpec(weights, np.concatenate([np.zeros(d), np.log(noise)]))
+    return DynamicsModel(FeedforwardNet((layer,)), state_dim=d, action_dim=k)
+
+
+# a two-action linear channel with unequal, mixed-sign gains
+TWO_ACTION = ([[1.0, 0.5], [0.3, -0.7]], [0.3, 0.2])
+
 PENDULUM = build_pendulum_dynamics(PendulumParams())
 _POLICY = GaussianPolicy([0.0], [-1.0])
 _QUICK = OptimizerOptions(restarts=1, max_iter=5)
@@ -229,6 +243,32 @@ class TestMarginalTransition:
         np.testing.assert_allclose(marg.mean, mc_mean, atol=2e-3)
         np.testing.assert_allclose(marg.variance, mc_var, rtol=1e-2)
 
+    def test_multi_dimensional_action_uses_the_default_draw(self):
+        # for k > 1 the marginal is the mixture of the conditionals at the
+        # default options' eps draw, 32 rows from seed 0: the q that
+        # mi_lower_bound(..., 32, 0) forms, as its value shows
+        model = mixed_tag_model()
+        state = np.array([0.3, -0.4])
+        pol = GaussianPolicy([0.2, -0.5], [-0.3, 0.1])
+        eps = empkit.empowerment._draw_eps(0, OptimizerOptions().mc_samples, 2)
+        assert len(eps) == 32
+        nodes = model.conditional(
+            state, pol.action_mean + np.exp(pol.action_log_std) * eps
+        )
+        mean = nodes.mean.mean(axis=0)
+        var = (nodes.variance + (nodes.mean - mean) ** 2).mean(axis=0)
+        marg = marginal_transition(model, state, pol)
+        np.testing.assert_allclose(marg.mean, mean, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(marg.variance, var, rtol=1e-12)
+        expected = np.mean(
+            [
+                kl_diag_gaussian(DiagonalGaussian(m, v), marg)
+                for m, v in zip(nodes.mean, nodes.variance)
+            ]
+        )
+        value = mi_lower_bound(model, state, pol, 32, 0)
+        assert value == pytest.approx(expected, rel=1e-12)
+
     def test_dimension_mismatch_rejected(self):
         model = shift_model()
         with pytest.raises(ValueError):
@@ -260,19 +300,48 @@ class TestMiLowerBound:
             assert mi >= -1e-12
 
     def test_linear_channel_matches_closed_form(self):
-        # x' = x + a + noise with a ~ N(mu, s^2): MI = 0.5 ln(1 + s^2/sigma^2)
-        sigma, s = 0.5, 0.8
-        model = shift_model(sigma)
-        pol = GaussianPolicy([0.4], [np.log(s)])
-        mi = mi_lower_bound(model, [0.0], pol, mc_samples=10_000, seed=3)
-        expected = 0.5 * np.log(1.0 + s**2 / sigma**2)
-        assert mi == pytest.approx(expected, rel=0.02)
+        # x' = x + J a + N(0, diag n^2) with a ~ N(mu, diag s^2): the exact
+        # marginal has variances n_d^2 + sum_j J_dj^2 s_j^2, and with a
+        # diagonal q the objective is sum_d 0.5 ln(1 + sum_j J_dj^2 s_j^2 / n_d^2);
+        # for J = 1 (the shift channel) that is the MI 0.5 ln(1 + s^2 / n^2).
+        # With two actions the nodes are 10,000 eps rows
+        cases = [([[1.0]], [0.5], [0.4], [0.8])] + [
+            (*TWO_ACTION, [0.4, -0.2], std)
+            for std in ([0.3, 0.3], [1.0, 0.8], [3.0, 2.0])
+        ]
+        for jacobian, noise, mean, std in cases:
+            model = linear_model(jacobian, noise)
+            pol = GaussianPolicy(mean, np.log(std))
+            state = np.zeros(len(noise))
+            mi = mi_lower_bound(model, state, pol, mc_samples=10_000, seed=3)
+            spread = np.asarray(jacobian) ** 2 @ np.square(std)
+            expected = 0.5 * np.log1p(spread / np.square(noise)).sum()
+            assert mi == pytest.approx(expected, rel=0.02)
 
     def test_invalid_mc_samples(self):
         model = shift_model()
         for objective in (mi_lower_bound, mi_lower_bound_with_gradient):
             with pytest.raises(ValueError):
                 objective(model, [0.0], GaussianPolicy([0.0], [0.0]), 0, 0)
+
+    def test_multi_dimensional_action_needs_two_samples(self):
+        # a one-row mixture is that row's conditional, V = v, so the
+        # objective would be 0 for every policy; a one-dimensional action
+        # reads no eps and still accepts one sample
+        model = linear_model(*TWO_ACTION)
+        pol = GaussianPolicy([0.0, 0.0], [0.0, 0.0])
+        message = "mc_samples must be >= 2 for a multi-dimensional action"
+        for objective in (mi_lower_bound, mi_lower_bound_with_gradient):
+            with pytest.raises(ValueError, match=message):
+                objective(model, [0.0, 0.0], pol, 1, 0)
+        with pytest.raises(ValueError, match=message):
+            maximize_empowerment(model, [0.0, 0.0], OptimizerOptions(mc_samples=1))
+        assert mi_lower_bound(model, [0.0, 0.0], pol, 2, 0) > 0.0
+        one = OptimizerOptions(mc_samples=1, max_iter=5)
+        pol = GaussianPolicy([0.0], [0.0])
+        assert mi_lower_bound(shift_model(), [0.0], pol, 1, 0) > 0.0
+        assert mi_lower_bound_with_gradient(shift_model(), [0.0], pol, 1, 0)[0] > 0.0
+        assert maximize_empowerment(shift_model(), [0.0], one).value > 0.0
 
     @pytest.mark.parametrize(
         "objective", [mi_lower_bound, mi_lower_bound_with_gradient]
@@ -293,35 +362,50 @@ class TestMiLowerBound:
         with pytest.raises(ValueError, match=match):
             objective(shift_model(), [0.0], policy, mc_samples, seed)
 
-    @pytest.mark.parametrize("case", ["shift", "pendulum"])
+    @pytest.mark.parametrize("case", ["shift", "pendulum", "mixed"])
     def test_equals_mean_kl_of_conditionals_to_marginal(self, case):
-        # the objective's fused pass against its definition: conditionals
-        # from point evaluation at the policy's Gauss-Hermite node actions,
-        # the marginal as their mixture's mean and variance, and the
-        # node-weighted mean KL; the sampling arguments have no effect
+        # the objective's lane pass against its definition: conditionals
+        # from point evaluation at the policy's node actions, the marginal
+        # as their mixture's mean and variance, and the node-weighted mean
+        # KL.  For k = 1 the nodes are the Gauss-Hermite points, the
+        # marginal is ``marginal_transition``'s and the sampling arguments
+        # have no effect; for k = 2 they are the 16 eps rows of the seed,
+        # each of weight 1/16
         if case == "shift":
             model = shift_model(0.5)
             state = np.array([0.3])
-        else:
+        elif case == "pendulum":
             model = build_pendulum_dynamics(PendulumParams())
             state = np.array([0.7, -2.0])
+        else:
+            model = mixed_tag_model()
+            state = np.array([0.3, -0.4])
+        k = model.action_dim
         rng = np.random.default_rng(12)
         for seed in range(4):
-            pol = GaussianPolicy(rng.normal(size=1), rng.uniform(-2.0, 0.5, 1))
-            actions = pol.action_mean + np.exp(pol.action_log_std) * _GH_NODES
-            nodes = model.conditional(state, actions[:, None])
-            mean = _GH_WEIGHTS @ nodes.mean
-            var = _GH_WEIGHTS @ (nodes.variance + (nodes.mean - mean) ** 2)
-            marg = marginal_transition(model, state, pol)
-            np.testing.assert_allclose(marg.mean, mean, rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(marg.variance, var, rtol=1e-12)
+            pol = GaussianPolicy(rng.normal(size=k), rng.uniform(-2.0, 0.5, k))
+            if k == 1:
+                x, weights = _GH_NODES[:, None], _GH_WEIGHTS
+            else:
+                x = empkit.empowerment._draw_eps(seed, 16, k)
+                weights = np.full(16, 1.0 / 16)
+            actions = pol.action_mean + np.exp(pol.action_log_std) * x
+            nodes = model.conditional(state, actions)
+            mean = weights @ nodes.mean
+            var = weights @ (nodes.variance + (nodes.mean - mean) ** 2)
+            marg = DiagonalGaussian(mean, var)
+            if k == 1:
+                marg = marginal_transition(model, state, pol)
+                np.testing.assert_allclose(marg.mean, mean, rtol=1e-12, atol=1e-14)
+                np.testing.assert_allclose(marg.variance, var, rtol=1e-12)
             expected = sum(
                 w * kl_diag_gaussian(DiagonalGaussian(m, v), marg)
-                for w, m, v in zip(_GH_WEIGHTS, nodes.mean, nodes.variance)
+                for w, m, v in zip(weights, nodes.mean, nodes.variance)
             )
             value = mi_lower_bound(model, state, pol, mc_samples=16, seed=seed)
             assert value == pytest.approx(expected, rel=1e-12)
-            assert mi_lower_bound(model, state, pol, 3, seed + 100) == value
+            if k == 1:
+                assert mi_lower_bound(model, state, pol, 3, seed + 100) == value
 
     @pytest.mark.parametrize(
         "mean, log_std", [(0.0, -3.0), (0.4, np.log(0.8)), (-2.0, 0.0), (1.5, 2.0)]
@@ -349,7 +433,7 @@ class TestMiLowerBound:
 
 
 class TestGradient:
-    @pytest.mark.parametrize("case", ["shift", "pendulum", "floored"])
+    @pytest.mark.parametrize("case", ["shift", "pendulum", "floored", "mixed"])
     def test_matches_central_finite_differences(self, case):
         offset = 0.0
         if case == "shift":
@@ -358,18 +442,24 @@ class TestGradient:
         elif case == "pendulum":
             model = build_pendulum_dynamics(PendulumParams())
             state = np.array([0.7, -2.0])
+        elif case == "mixed":
+            # k = 2: the nodes are the seed's eps rows, of equal weight
+            model = mixed_tag_model()
+            state = np.array([0.3, -0.4])
         else:
-            # saturated tanh: the moment pass floors the action unit's
-            # variance at VAR_FLOOR, and with model noise 1e-8 the floor is
-            # half the marginal variance, so the reverse pass must drop the
-            # floored unit's variance path or the gradient is visibly off
+            # saturated tanh, where the delta rule of ``forward_moments``
+            # floors the action unit's variance at VAR_FLOOR and with model
+            # noise 1e-8 the floor is half its marginal variance; the
+            # objective reads only the node conditionals, whose spread and
+            # gradient here come from tanh's tails
             model = tanh_model(1e-4)
             state = np.array([0.0])
             offset = 8.0
+        k = model.action_dim
         rng = np.random.default_rng(5)
         for _ in range(5):
-            mean = offset + rng.normal(size=1)
-            log_std = rng.uniform(-2.0, 0.5, 1)
+            mean = offset + rng.normal(size=k)
+            log_std = rng.uniform(-2.0, 0.5, k)
             pol = GaussianPolicy(mean, log_std)
             if case == "floored":
                 g = DiagonalGaussian(
@@ -380,20 +470,19 @@ class TestGradient:
                 model, state, pol, mc_samples=16, seed=11
             )
             h = 1e-6
-            for which in ("mean", "log_std"):
-                if which == "mean":
-                    plus = GaussianPolicy(mean + h, log_std)
-                    minus = GaussianPolicy(mean - h, log_std)
-                    analytic = gmean[0]
-                else:
-                    plus = GaussianPolicy(mean, log_std + h)
-                    minus = GaussianPolicy(mean, log_std - h)
-                    analytic = glog[0]
-                fd = (
-                    mi_lower_bound(model, state, plus, 16, 11)
-                    - mi_lower_bound(model, state, minus, 16, 11)
-                ) / (2 * h)
-                assert analytic == pytest.approx(fd, rel=1e-5, abs=1e-8)
+            for i, step in enumerate(h * np.eye(k)):
+                for which, analytic in (("mean", gmean[i]), ("log_std", glog[i])):
+                    if which == "mean":
+                        plus = GaussianPolicy(mean + step, log_std)
+                        minus = GaussianPolicy(mean - step, log_std)
+                    else:
+                        plus = GaussianPolicy(mean, log_std + step)
+                        minus = GaussianPolicy(mean, log_std - step)
+                    fd = (
+                        mi_lower_bound(model, state, plus, 16, 11)
+                        - mi_lower_bound(model, state, minus, 16, 11)
+                    ) / (2 * h)
+                    assert analytic == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
 class TestInputValidation:
@@ -625,8 +714,8 @@ class TestLanes:
     @pytest.mark.parametrize("lanes", [2, 3, 4, 5, 6])
     def test_each_lane_equals_its_single_lane_run(self, case, lanes):
         # the batched objective must not let the lane count change any
-        # lane's rounding: value, both gradients and the consistency flag
-        # equal the lane run alone, bit for bit
+        # lane's rounding: the value and both gradients equal the lane run
+        # alone, bit for bit
         model = PENDULUM if case == "pendulum" else mixed_tag_model()
         k = model.action_dim
         rng = np.random.default_rng(lanes)
@@ -652,12 +741,9 @@ class TestLanes:
 
 def lane_inputs(model, lanes=3, n=5, seed=0):
     rng = np.random.default_rng(seed)
-    k = model.action_dim
     state = rng.uniform(-2.0, 2.0, model.state_dim)
-    mean = rng.normal(0.0, 1.0, (lanes, k))
-    var_a = rng.uniform(0.05, 1.0, (lanes, k))
-    actions = rng.normal(0.0, 1.5, (lanes, n, k))
-    return state, mean, var_a, actions
+    actions = rng.normal(0.0, 1.5, (lanes, n, model.action_dim))
+    return state, actions
 
 
 class TestLanePass:
@@ -669,8 +755,8 @@ class TestLanePass:
         # not bit-equal: the lane pass takes one matrix product for all rows
         # of a lane, and ``conditional`` takes one per row
         model = PENDULUM if case == "pendulum" else mixed_tag_model()
-        state, mean, var_a, actions = lane_inputs(model)
-        _, _, mp, vp, _ = model._lane_pass(state, mean, var_a, actions)
+        state, actions = lane_inputs(model)
+        mp, vp, _ = model._lane_pass(state, actions)
         for lane, rows in enumerate(actions):
             want = model.conditional(state, rows)
             np.testing.assert_allclose(mp[lane], want.mean, rtol=1e-12)
@@ -678,38 +764,31 @@ class TestLanePass:
 
     @pytest.mark.parametrize("case", ["pendulum", "mixed"])
     def test_reverse_matches_finite_differences(self, case):
-        # the reverse step of a fixed linear functional of the four outputs,
-        # against central differences in the policy mean, each action row
-        # and the action variance
+        # the reverse step of a fixed linear functional of the two outputs,
+        # against central differences in each action row
         model = PENDULUM if case == "pendulum" else mixed_tag_model()
-        state, mean, var_a, actions = lane_inputs(model, seed=1)
+        state, actions = lane_inputs(model, seed=1)
         rng = np.random.default_rng(2)
-        outs = model._lane_pass(state, mean, var_a, actions)
-        weights = [rng.normal(size=o.shape) for o in outs[:4]]
+        outs = model._lane_pass(state, actions)
+        weights = [rng.normal(size=o.shape) for o in outs[:2]]
 
-        def functional(mean, var_a, actions):
-            outs = model._lane_pass(state, mean, var_a, actions)
+        def functional(actions):
+            outs = model._lane_pass(state, actions)
             return sum((w * o).sum() for w, o in zip(weights, outs))
 
-        grads = dict(
-            zip(("mean", "actions", "var_a"), model._lane_reverse(outs[4], *weights))
-        )
-        args = {"mean": mean, "var_a": var_a, "actions": actions}
+        grad = model._lane_reverse(outs[2], *weights)
         h = 1e-6
-        for name, x in args.items():
-            fd = np.empty_like(x)
-            for idx in np.ndindex(x.shape):
-                up, down = x.copy(), x.copy()
-                up[idx] += h
-                down[idx] -= h
-                fd[idx] = (
-                    functional(**{**args, name: up}) - functional(**{**args, name: down})
-                ) / (2 * h)
-            np.testing.assert_allclose(grads[name], fd, rtol=1e-6, atol=1e-8)
+        fd = np.empty_like(actions)
+        for idx in np.ndindex(actions.shape):
+            up, down = actions.copy(), actions.copy()
+            up[idx] += h
+            down[idx] -= h
+            fd[idx] = (functional(up) - functional(down)) / (2 * h)
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
 
     def test_estimator_leaves_the_layout_to_the_model(self):
         # empowerment.py reaches the net only through DynamicsModel: it imports
-        # no fused pass and forms no marginal of its own
+        # no pass of nets.py and defines no marginal pass of its own
         tree = ast.parse(Path(empkit.empowerment.__file__).read_text())
         imported = [
             alias.name
@@ -733,8 +812,8 @@ def reference_ascend(x, opts):
     the reference that ``maximize_empowerment`` must equal bit for bit.
 
     A generator like the estimator's: it yields trial points, is sent
-    ``(value, gradient, consistent)`` and returns ``(best, iterations)``
-    with ``best = (value, mean, log_std, converged)`` or None.
+    ``(value, gradient)`` and returns ``(last, iterations)`` with
+    ``last = (value, mean, log_std, converged)``, the last accepted iterate.
     """
     k = x.size // 2
     lo = np.concatenate([np.full(k, -np.inf), np.full(k, LOG_STD_MIN)])
@@ -742,21 +821,14 @@ def reference_ascend(x, opts):
     eye = np.eye(2 * k)
 
     def evaluate(x):
-        value, g, ok = yield x
+        value, g = yield x
         if not math.isfinite(value):
             raise FloatingPointError("non-finite objective")
         held = ((x <= lo) & (g < 0)) | ((x >= hi) & (g > 0))
         pg = np.where(held, 0.0, g)
-        return value, g, pg, held, ok
+        return value, g, pg, held
 
-    def keep(best, value, x, pg, ok):
-        if ok and (best is None or value > best[0]):
-            done = bool(np.abs(pg).max() < opts.grad_tol)
-            return (value, x[:k].copy(), x[k:].copy(), done)
-        return best
-
-    f, g, pg, held, ok = yield from evaluate(x)
-    best = keep(None, f, x, pg, ok)
+    f, g, pg, held = yield from evaluate(x)
     hess_inv = None
     iters = 0
     while np.abs(pg).max() >= opts.grad_tol and iters < opts.max_iter:
@@ -775,7 +847,7 @@ def reference_ascend(x, opts):
             x_new = np.minimum(np.maximum(x + t * d, lo), hi)
             gain = g @ (x_new - x)
             if gain > 0.0:
-                f_new, g_new, pg_new, held_new, ok = yield from evaluate(x_new)
+                f_new, g_new, pg_new, held_new = yield from evaluate(x_new)
                 if f_new >= f + _ARMIJO * gain:
                     break
             t *= 0.5
@@ -793,8 +865,8 @@ def reference_ascend(x, opts):
             v = eye - s[:, None] * y / sy
             hess_inv = v @ hess_inv @ v.T + s[:, None] * s / sy
         x, f, g, pg, held = x_new, f_new, g_new, pg_new, held_new
-        best = keep(best, f, x, pg, ok)
-    return best, iters
+    done = bool(np.abs(pg).max() < opts.grad_tol)
+    return (f, x[:k].copy(), x[k:].copy(), done), iters
 
 
 def reference_maximize(model, state, opts):
@@ -813,11 +885,11 @@ def reference_maximize(model, state, opts):
             x = next(ascent)
             while True:
                 X = x[None]
-                value, gmean, glog, ok = _mi_core(
+                value, gmean, glog = _mi_core(
                     model, state, X[:, :k], X[:, k:], draw[None, :-1], True
                 )
                 grad = np.concatenate([gmean, glog], axis=1)[0]
-                x = ascent.send((float(value[0]), grad, bool(ok[0])))
+                x = ascent.send((float(value[0]), grad))
         except StopIteration as finished:
             result, iters = finished.value
         except FloatingPointError:
@@ -886,12 +958,11 @@ class TestReferenceAscent:
 
 def ascent_trials(x, objective, n):
     """The first ``n`` trial points ``_ascend`` yields from ``x`` when each
-    point is sent ``objective``'s value and gradient, marked consistent."""
+    point is sent ``objective``'s value and gradient."""
     ascent = _ascend(x, OptimizerOptions())
     trials = [next(ascent)]
     while len(trials) < n:
-        value, grad = objective(np.array(trials[-1]))
-        trials.append(ascent.send((value, grad, True)))
+        trials.append(ascent.send(objective(np.array(trials[-1]))))
     return trials
 
 
@@ -930,9 +1001,8 @@ class TestAscentSteps:
         ascent = _ascend(x0, OptimizerOptions())
         trials = [next(ascent)]
         while True:
-            value, grad = objective(trials)
             try:
-                trials.append(ascent.send((value, grad, True)))
+                trials.append(ascent.send(objective(trials)))
             except StopIteration as stop:
                 return trials, stop.value
 

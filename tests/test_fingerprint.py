@@ -22,8 +22,10 @@ def test_fingerprint_tool_prints_every_line():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     # 25 AC-5 states, 25 grid cells, 3 restart runs, 40 probes, one
-    # select_action line, five point-evaluation lines on each of two nets
-    # and two lines per oracle state
-    assert len(lines) == 25 + 25 + 3 + 40 + 1 + 2 * 5 + 2 * 25
+    # select_action line, five point-evaluation lines on each of two nets,
+    # two lines per oracle state, then 10 two-action probes and one
+    # two-action estimate
+    assert len(lines) == 25 + 25 + 3 + 40 + 1 + 2 * 5 + 2 * 25 + 10 + 1
     assert lines[0].startswith("ac5[0] ")
-    assert lines[-1].startswith("oracle[24] capacity ")
+    assert lines[-12].startswith("oracle[24] capacity ")
+    assert lines[-1].startswith("mixed_estimate ")

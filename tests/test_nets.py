@@ -76,25 +76,24 @@ class TestLayerSpec:
 
     def test_per_unit_tags(self):
         layer = LayerSpec(np.eye(2), np.zeros(2), ("sine", "identity"))
-        f, df, d2f = layer.act_all(np.array([0.5, 0.5]))
+        f, df = layer.act_all(np.array([0.5, 0.5]))
         np.testing.assert_allclose(f, [np.sin(0.5), 0.5])
         np.testing.assert_allclose(df, [np.cos(0.5), 1.0])
-        np.testing.assert_allclose(d2f, [-np.sin(0.5), 0.0])
 
     def test_repeated_tags_apply_per_unit(self):
         # a tag recurring after another one: each unit still gets its own
-        # function and derivatives, on a batch with a leading lane axis;
+        # function and derivative, on a batch with a leading lane axis;
         # f is numpy's own function of the unit's tag, bit for bit
         plain = {"sine": np.sin, "tanh": np.tanh, "identity": lambda z: z}
         tags = ("sine", "identity", "identity", "sine", "tanh", "identity")
         layer = LayerSpec(np.eye(6), np.zeros(6), tags)
         z = np.random.default_rng(4).normal(size=(3, 5, 6))
-        f, df, d2f = layer.act_all(z)
+        f, df = layer.act_all(z)
         for u, tag in enumerate(tags):
             single = LayerSpec([[1.0]], [0.0], tag)
             unit = z[..., u : u + 1]
             np.testing.assert_array_equal(f[..., u : u + 1], plain[tag](unit))
-            for got, want in zip((f, df, d2f), single.act_all(unit)):
+            for got, want in zip((f, df), single.act_all(unit)):
                 np.testing.assert_array_equal(got[..., u : u + 1], want)
 
     def test_chaining_checked(self):
@@ -320,8 +319,8 @@ class TestForwardMoments:
 
 class TestFusedPasses:
     def test_identity_layer_skip_equals_its_full_activation(self):
-        # an all-identity layer skips its f' = 1 and f'' = 0 factors in both
-        # passes; running them anyway must give the same bits
+        # an all-identity layer skips its f' = 1 factor in the point pass and
+        # its reverse; running it anyway must give the same bits
         from empkit import PendulumParams, build_pendulum_dynamics
 
         net = build_pendulum_dynamics(PendulumParams()).net
@@ -331,13 +330,11 @@ class TestFusedPasses:
         full_net = FeedforwardNet(net.layers[:-1] + (full,))
         rng = np.random.default_rng(12)
         H = rng.normal(size=(3, 9, net.in_dim))
-        v = rng.uniform(0.0, 2.0, (3, net.in_dim))
         G = rng.normal(size=(3, 9, net.out_dim))
-        gv = rng.normal(size=(3, net.out_dim))
 
         def passes(net):
-            Y, vY, trace = empkit.nets._fused_trace(net, H, v)
-            return (Y, vY, *empkit.nets._fused_backprop(trace, G.copy(), gv))
+            Y, trace = empkit.nets._point_trace(net, H)
+            return Y, empkit.nets._point_backprop(trace, G.copy())
 
         for got, want in zip(passes(net), passes(full_net)):
             np.testing.assert_array_equal(got, want)

@@ -18,7 +18,11 @@ package) and prints ``float.hex`` of a fixed set of outputs, one per line:
   stack, and ``DynamicsModel.conditional`` on one action and on a batch;
 * ``oracle_empowerment`` at AC-5's settings on its 25-state diagonal: the
   sha256 of the channel handed to ``blahut_arimoto`` and the iteration
-  count on one line, capacity and gap on the next.
+  count on one line, capacity and gap on the next;
+* the two-action estimator on the mixed-tag net: ``mi_lower_bound``,
+  ``mi_lower_bound_with_gradient`` and ``marginal_transition`` at 10
+  seeded random states, policies, Monte Carlo draw counts and seeds, and
+  one ``maximize_empowerment`` with 3 restarts.
 
 Two source trees compute the same numbers bit for bit exactly when their
 outputs are byte-identical:
@@ -137,6 +141,24 @@ def fingerprint():
             )
 
     lines.extend(oracle_fingerprint(model))
+
+    rng = np.random.default_rng(27)
+    for i in range(10):
+        state = rng.uniform(-2.0, 2.0, 2)
+        policy = GaussianPolicy(rng.normal(0.0, 1.5, 2), rng.uniform(-6.0, 2.0, 2))
+        mc = int(rng.integers(2, 40))
+        seed = int(rng.integers(0, 1000))
+        value = mi_lower_bound(mixed, state, policy, mc, seed)
+        gvalue, gmean, glog = mi_lower_bound_with_gradient(
+            mixed, state, policy, mc, seed
+        )
+        marg = marginal_transition(mixed, state, policy)
+        lines.append(
+            f"mixed_probe[{i}] {_hex(value)} | {_hex(gvalue)} {_hex(gmean)} "
+            f"{_hex(glog)} | {_hex(marg.mean)} {_hex(marg.variance)}"
+        )
+    est = maximize_empowerment(mixed, [0.3, -0.4], OptimizerOptions(restarts=3, seed=5))
+    lines.append(_estimate("mixed_estimate", est))
     return lines
 
 
