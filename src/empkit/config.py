@@ -22,7 +22,8 @@ __all__ = ["RunConfig", "load_config"]
 
 def _from_fields(cls, config):
     """``cls`` built from the config fields that share its field names."""
-    return cls(**{f.name: getattr(config, f.name) for f in dataclasses.fields(cls)})
+    names = [f.name for f in dataclasses.fields(cls) if hasattr(config, f.name)]
+    return cls(**{name: getattr(config, name) for name in names})
 
 
 # pendulum and optimizer defaults are those of PendulumParams and
@@ -48,7 +49,6 @@ class RunConfig:
     max_iter: int = OptimizerOptions.max_iter
     grad_tol: float = OptimizerOptions.grad_tol
     restarts: int = OptimizerOptions.restarts
-    mc_samples: int = OptimizerOptions.mc_samples
     # oracle discretization
     oracle_actions: int = 64
     oracle_bins: int = 41

@@ -148,43 +148,41 @@ def marginal_transition(
     state = _as_vector(state, model.state_dim, "state")
     _check_policy(model, policy)
     k = policy.dim
-    eps = _draw_eps(0, OptimizerOptions.mc_samples, k)[None] if k > 1 else None
+    eps = _draw_eps(0, OptimizerOptions.mc_samples, k) if k > 1 else None
     M, V = _node_moments(
-        model, state, policy.action_mean[None], policy.action_log_std[None], eps
+        model, state, policy.action_mean, policy.action_log_std, eps
     )[:2]
-    return DiagonalGaussian(M[0], V[0])
+    return DiagonalGaussian(M, V)
 
 
 def _node_moments(model, state, mean, log_std, eps):
-    """The conditionals at each lane's node actions mean + exp(log_std) * x_i
-    and their mixture's moments, for (lanes, k) ``mean`` and ``log_std``.
+    """The conditionals at the node actions mean + exp(log_std) * x_i and
+    their mixture's moments, for (k,) ``mean`` and ``log_std``.
 
     For k = 1 the nodes x_i are the Gauss-Hermite points with their weights
-    and ``eps`` is not read; otherwise they are the rows of ``eps``
-    (lanes, n, k), each of weight 1/n.  Returns M and V (lanes, d), the
-    nodes' offsets from M and variances (lanes, n, d), the weights, the
-    action offsets exp(log_std) * x_i (lanes, n, k) and the lane pass's
-    tape.
+    and ``eps`` is not read; otherwise they are the rows of ``eps`` (n, k),
+    each of weight 1/n.  Returns M and V (d,), the nodes' offsets from M
+    and variances (n, d), the weights, the action offsets
+    exp(log_std) * x_i (n, k) and the node pass's tape.
     """
-    if mean.shape[1] == 1:
+    if mean.size == 1:
         nodes, w = _GH_NODES[:, None], _GH_WEIGHTS[:, None]
     else:
-        nodes, w = eps, 1.0 / eps.shape[1]
-    offsets = np.exp(log_std)[:, None, :] * nodes
-    mp, vp, tape = model._lane_pass(state, mean[:, None, :] + offsets)
-    M = (w * mp).sum(axis=1)
-    dm = mp - M[:, None, :]
-    V = (w * (vp + dm * dm)).sum(axis=1)
+        nodes, w = eps, 1.0 / len(eps)
+    offsets = np.exp(log_std) * nodes
+    mp, vp, tape = model._node_pass(state, mean + offsets)
+    M = (w * mp).sum(axis=0)
+    dm = mp - M
+    V = (w * (vp + dm * dm)).sum(axis=0)
     return M, V, dm, vp, w, offsets, tape
 
 
 def _mi_core(model, state, mean, log_std, eps, want_grad):
-    """Objective (and optionally its gradient), per lane.
+    """Objective (and optionally its gradient) of one policy.
 
-    ``mean`` and ``log_std`` are (lanes, k) and every lane shares
-    ``state``; ``eps`` is (lanes, n, k), one fixed draw per lane, read only
-    for k > 1.  Returns arrays over lanes: the value and the gradients wrt
-    mean and log-std (None without ``want_grad``).
+    ``mean`` and ``log_std`` are (k,); ``eps`` is (n, k), a fixed draw,
+    read only for k > 1.  Returns the value and the gradients wrt mean and
+    log-std (None without ``want_grad``).
 
     The value is sum_i w_i KL(N(m_i, v_i) || N(M, V)) over the node
     actions of ``_node_moments``.  Its gradient holds q = N(M, V) fixed: q
@@ -194,13 +192,12 @@ def _mi_core(model, state, mean, log_std, eps, want_grad):
     M, V, dm, vp, w, offsets, tape = _node_moments(model, state, mean, log_std, eps)
     # the node terms (v_i + dm_i^2) / 2V sum to 1/2 with the weights, so
     # the weighted KL sum is (ln V - sum_i w_i ln v_i) / 2 per dimension
-    value = 0.5 * (np.log(V) - (w * np.log(vp)).sum(axis=1)).sum(axis=1)
+    value = 0.5 * (np.log(V) - (w * np.log(vp)).sum(axis=0)).sum()
     if not want_grad:
         return value, None, None
-    V = V[:, None, :]
-    ga = model._lane_reverse(tape, w * dm / V, w * (0.5 / V - 0.5 / vp))
+    ga = model._node_reverse(tape, w * dm / V, w * (0.5 / V - 0.5 / vp))
     # node action i is mean + exp(log_std) * x_i
-    return value, ga.sum(axis=1), (ga * offsets).sum(axis=1)
+    return value, ga.sum(axis=0), (ga * offsets).sum(axis=0)
 
 
 def _check_mc_samples(mc_samples, action_dim):
@@ -216,26 +213,20 @@ def _draw_eps(seed: int, mc_samples: int, action_dim: int) -> np.ndarray:
 
 def _objective(model, state, policy, mc_samples, seed, want_grad):
     """Validated inputs, the seed's eps draw (k > 1 only) and one
-    single-lane ``_mi_core`` call: the value, with the gradient if
-    ``want_grad``."""
+    ``_mi_core`` call: the value, with the gradient if ``want_grad``."""
     state = _as_vector(state, model.state_dim, "state")
     _check_policy(model, policy)
     _check_int("mc_samples", mc_samples)
     _check_int("seed", seed, minimum=0)
     k = model.action_dim
     _check_mc_samples(mc_samples, k)
-    eps = _draw_eps(seed, mc_samples, k)[None] if k > 1 else None
+    eps = _draw_eps(seed, mc_samples, k) if k > 1 else None
     value, gmean, glog = _mi_core(
-        model,
-        state,
-        policy.action_mean[None],
-        policy.action_log_std[None],
-        eps,
-        want_grad,
+        model, state, policy.action_mean, policy.action_log_std, eps, want_grad
     )
     if not want_grad:
-        return float(value[0])
-    return float(value[0]), gmean[0], glog[0]
+        return float(value)
+    return float(value), gmean, glog
 
 
 def mi_lower_bound(
@@ -281,16 +272,15 @@ def _inf_norm(v):
     return math.nan if any(map(math.isnan, v)) else max(map(abs, v))
 
 
-def _ascend(x, opts):
+def _ascend(x, objective, opts):
     """Projected BFGS ascent of one restart from ``x`` = (mean, log_std).
 
-    A generator: it yields each trial point as a list and is sent back
-    that point's ``(value, gradient)``, the gradient over (mean, log_std)
-    as an array.  It returns ``(best, iterations)``.  ``best`` is the last
-    accepted iterate as ``(value, mean, log_std, grad_norm)``,
-    ``grad_norm`` the infinity norm of its projected gradient; values never
-    fall along the path, so it is the best iterate.  Raises
-    FloatingPointError on a non-finite objective.
+    ``objective`` maps a trial point, a list, to its ``(value, gradient)``,
+    the gradient over (mean, log_std) as an array.  Returns ``(best,
+    iterations)``.  ``best`` is the last accepted iterate as ``(value, mean,
+    log_std, grad_norm)``, ``grad_norm`` the infinity norm of its projected
+    gradient; values never fall along the path, so it is the best iterate.
+    Raises FloatingPointError on a non-finite objective.
 
     Each trial step starts at unit length or shorter: the steepest step is
     the projected gradient scaled to length 1, and a quasi-Newton step
@@ -311,7 +301,7 @@ def _ascend(x, opts):
     eye = np.eye(2 * k)
 
     def evaluate(x):
-        value, g = yield x
+        value, g = objective(x)
         if not math.isfinite(value):
             raise FloatingPointError("non-finite objective")
         gl = g.tolist()
@@ -323,7 +313,7 @@ def _ascend(x, opts):
         pg = [0.0 if hd else gi for hd, gi in zip(held, gl)]
         return value, g, pg, held, _inf_norm(pg)
 
-    f, g, pg, held, norm = yield from evaluate(x)
+    f, g, pg, held, norm = evaluate(x)
     hess_inv = None  # None until a curvature pair is accepted
     iters = 0
     while norm >= opts.grad_tol and iters < opts.max_iter:
@@ -357,7 +347,7 @@ def _ascend(x, opts):
             s = np.array([a - b for a, b in zip(x_new, x)])
             gain = g.dot(s)
             if gain > 0.0:
-                f_new, g_new, pg_new, held_new, norm_new = yield from evaluate(x_new)
+                f_new, g_new, pg_new, held_new, norm_new = evaluate(x_new)
                 if f_new >= f + _ARMIJO * gain:
                     break
             t *= 0.5
@@ -393,17 +383,14 @@ def maximize_empowerment(
     also gives restart r its fixed eps draw.  The ascent is a quasi-Newton
     (BFGS) iteration over (action_mean, action_log_std) with Armijo
     backtracking, log-std clipped to ``[LOG_STD_MIN, LOG_STD_MAX]``; one
-    iteration may take several objective evaluations.  The restarts
-    advance in lockstep: each round evaluates the next trial point of every
-    live restart in one batched objective call, one lane per restart, and
-    a lane's numbers do not depend on the others.  Each restart keeps its
-    last accepted iterate, its best; a restart whose objective turns
-    non-finite counts as failed.  For a multi-dimensional action
-    ``opts.mc_samples`` must be at least 2.  ``iterations`` is the
-    quasi-Newton iteration count of the winning restart; ``grad_norm`` is
-    the infinity norm of the projected gradient (log-std components
-    pushing against an active clamp are zeroed) at the returned policy,
-    and ``converged`` means it is below ``grad_tol``.
+    iteration may take several objective evaluations.  The restarts run
+    one after another.  Each keeps its last accepted iterate, its best; a
+    restart whose objective turns non-finite counts as failed.  For a
+    multi-dimensional action ``opts.mc_samples`` must be at least 2.
+    ``iterations`` is the quasi-Newton iteration count of the winning
+    restart; ``grad_norm`` is the infinity norm of the projected gradient
+    (log-std components pushing against an active clamp are zeroed) at the
+    returned policy, and ``converged`` means it is below ``grad_tol``.
     """
     state = _as_vector(state, model.state_dim, "state")
     k = model.action_dim
@@ -411,50 +398,34 @@ def maximize_empowerment(
 
     # the Gauss-Hermite objective of a one-dimensional action takes no eps
     n = opts.mc_samples if k > 1 else 0
-    eps, ascents, trials = [], [], []
-    for r in range(opts.restarts):
-        # one stream per restart: its first n rows are eps, its last row the
-        # initial-mean kick
-        draw = _draw_eps(opts.seed + r, n + 1, k)
-        eps.append(draw[:-1])
-        # restart 0 starts at the canonical initial policy; later restarts
-        # perturb the initial mean to reach other basins of the objective.
-        # For k = 1 that is all that sets them apart, and on the pendulum
-        # four restarts find the value of one to 2.5e-7.
-        mean = (0.5 * draw[-1]).tolist() if r > 0 else [0.0] * k
-        ascents.append(_ascend(mean + [-1.0] * k, opts))
-        trials.append(next(ascents[-1]))
-    eps = np.stack(eps)
-
-    results = [None] * opts.restarts  # (best, iterations) per finished restart
-    live = list(range(opts.restarts))
+    best = None  # (value, mean, log_std, grad_norm, iterations)
+    failures = 0
     # a diverging restart fails through its non-finite value, whatever the
     # warnings filter says about the arithmetic that produced it
     with np.errstate(all="ignore"):
-        while live:
-            X = np.array([trials[r] for r in live])
-            value, gmean, glog = _mi_core(
-                model, state, X[:, :k], X[:, k:], eps[live], True
-            )
-            grad = np.concatenate([gmean, glog], axis=1)
-            running = []
-            for r, v, g in zip(live, value.tolist(), grad):
-                try:
-                    trials[r] = ascents[r].send((v, g))
-                    running.append(r)
-                except StopIteration as finished:
-                    results[r] = finished.value
-                except FloatingPointError:
-                    pass  # non-finite objective: the restart failed
-            live = running
+        for r in range(opts.restarts):
+            # one stream per restart: its first n rows are eps, its last row
+            # the initial-mean kick
+            draw = _draw_eps(opts.seed + r, n + 1, k)
+            eps = draw[:-1]
 
-    best = None
-    failures = 0
-    for result in results:
-        if result is None:
-            failures += 1
-        elif best is None or result[0][0] > best[0]:
-            best = (*result[0], result[1])
+            def objective(x):
+                x = np.array(x)
+                value, gmean, glog = _mi_core(model, state, x[:k], x[k:], eps, True)
+                return float(value), np.concatenate([gmean, glog])
+
+            # restart 0 starts at the canonical initial policy; later
+            # restarts perturb the initial mean to reach other basins of the
+            # objective.  For k = 1 that is all that sets them apart, and on
+            # the pendulum four restarts find the value of one to 2.5e-7.
+            mean = (0.5 * draw[-1]).tolist() if r > 0 else [0.0] * k
+            try:
+                result, iters = _ascend(mean + [-1.0] * k, objective, opts)
+            except FloatingPointError:
+                failures += 1  # non-finite objective: the restart failed
+                continue
+            if best is None or result[0] > best[0]:
+                best = (*result, iters)
 
     if best is None:
         raise RuntimeError(f"all {failures} restarts diverged")
@@ -496,7 +467,7 @@ def empowerment_landscape(model: DynamicsModel, state_grid, opts: OptimizerOptio
 
     Every grid state is checked before the sweep starts: a non-finite or
     wrong-length one raises ValueError.  Per-state optimizer failures
-    (all restarts diverged) yield a None entry instead of aborting the
+    (all restarts diverged) give a None entry instead of aborting the
     whole sweep.  Output order matches input order.
     """
     states = [_as_vector(s, model.state_dim, "state") for s in state_grid]

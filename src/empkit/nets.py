@@ -9,7 +9,7 @@ elementwise activation.  Two evaluation modes exist:
   covariance dropped), nonlinear activations use the first-order delta
   method: mean -> f(mu), variance -> f'(mu)^2 * var.  The estimator does
   not use it: it marginalizes the action over point evaluations
-  (``DynamicsModel._lane_pass``).
+  (``DynamicsModel._node_pass``).
 
 Activations may be a single tag applied to the whole layer or a per-unit
 list of tags; the latter is needed to express mixed branches (e.g. a sine
@@ -230,29 +230,27 @@ class DynamicsModel:
             y = y[0]
         return DiagonalGaussian(y[..., :d], np.exp(2.0 * y[..., d:]))
 
-    def _lane_pass(self, state, actions):
-        """Conditionals of action rows from one point pass per lane.
+    def _node_pass(self, state, actions):
+        """Conditionals of (n, k) action rows from one point pass.
 
-        ``actions`` is (lanes, n, k); every lane shares ``state``.  The
-        output halves (mean, log-std) give next-state Gaussians of variance
-        exp(2 * log-std).  Returns their means and variances (lanes, n, d)
-        and the tape that ``_lane_reverse`` consumes.
+        The output halves (mean, log-std) give next-state Gaussians of
+        variance exp(2 * log-std).  Returns their means and variances
+        (n, d) and the tape that ``_node_reverse`` consumes.
         """
         d = self.state_dim
-        lanes, n, k = actions.shape
-        X = np.empty((lanes, n, d + k))
-        X[:, :, :d] = state
-        X[:, :, d:] = actions
+        X = np.empty((len(actions), d + self.action_dim))
+        X[:, :d] = state
+        X[:, d:] = actions
         Y, trace = _point_trace(self.net, X)
-        vp = np.exp(2.0 * Y[:, :, d:])
-        return Y[:, :, :d], vp, (trace, vp)
+        vp = np.exp(2.0 * Y[:, d:])
+        return Y[:, :d], vp, (trace, vp)
 
-    def _lane_reverse(self, tape, gmp, gvp):
-        """Reverse step of ``_lane_pass``: gradients wrt its two outputs
-        mapped onto the action rows (lanes, n, k)."""
+    def _node_reverse(self, tape, gmp, gvp):
+        """Reverse step of ``_node_pass``: gradients wrt its two outputs
+        mapped onto the action rows (n, k)."""
         trace, vp = tape
-        G = np.concatenate([gmp, gvp * 2.0 * vp], axis=2)
-        return _point_backprop(trace, G)[:, :, self.state_dim :]
+        G = np.concatenate([gmp, gvp * 2.0 * vp], axis=1)
+        return _point_backprop(trace, G)[:, self.state_dim :]
 
 
 def _check_input(net, dim):
@@ -287,19 +285,15 @@ def forward_moments(net: FeedforwardNet, g: DiagonalGaussian) -> DiagonalGaussia
 
 
 # ---------------------------------------------------------------------------
-# point pass + hand-rolled reverse mode, behind the lane pass
-# ``DynamicsModel._lane_pass`` and its ``_lane_reverse`` (the nets here are
-# tiny; autodiff frameworks are not worth the dependency).
-#
-# Both passes carry a leading lane axis: lane l is an independent problem,
-# and every lane's numbers equal those of the same lane run alone, bit for
-# bit, because numpy computes a stacked (lanes, n, in) @ (in, out) product
-# one lane at a time, with the same BLAS call for any lane count.
+# point pass + hand-rolled reverse mode, behind ``DynamicsModel._node_pass``
+# and its ``_node_reverse`` (the nets here are tiny; autodiff frameworks are
+# not worth the dependency).
 
 
 def _point_trace(net, H):
-    """Point evaluation of ``H`` (lanes, rows, in) that keeps each layer's
-    f' for ``_point_backprop``; returns the output rows and that trace."""
+    """Point evaluation of the rows of ``H`` (..., in) that keeps each
+    layer's f' for ``_point_backprop``; returns the output rows and that
+    trace."""
     trace = []
     for layer in net.layers:
         Z = H @ layer.weights.T + layer.bias

@@ -25,7 +25,6 @@ def write_config(tmp_path, **overrides):
         "velocity_count": 2,
         "max_iter": 20,
         "restarts": 2,
-        "mc_samples": 8,
         "out_dir": str(tmp_path / "out"),
     }
     base.update(overrides)
@@ -63,9 +62,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_config(path)
 
-    def test_step_size_key_is_config_error(self, tmp_path):
-        # the quasi-Newton ascent takes no step size, so the key is unknown
-        cfg = write_config(tmp_path, step_size=0.05)
+    @pytest.mark.parametrize("key, value", [("step_size", 0.05), ("mc_samples", 8)])
+    def test_dropped_key_is_config_error(self, tmp_path, key, value):
+        # the quasi-Newton ascent takes no step size, and the CLI's pendulum
+        # has a one-dimensional action, whose objective draws no samples:
+        # both keys are unknown
+        cfg = write_config(tmp_path, **{key: value})
         assert main(["landscape", "--config", str(cfg)]) == 2
 
     @pytest.mark.parametrize(

@@ -69,7 +69,7 @@ import empkit.cli
 cfg = out + "/config.json"
 with open(cfg, "w") as fh:
     json.dump({"angle_count": 3, "velocity_count": 3, "max_iter": 5,
-               "restarts": 1, "mc_samples": 4, "oracle_actions": 8,
+               "restarts": 1, "oracle_actions": 8,
                "oracle_bins": 5, "oracle_tol": 1e-1, "out_dir": out}, fh)
 assert empkit.cli.main(["compare-oracle", "--config", cfg, "--states", "3"]) == 0
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy.stats"))))

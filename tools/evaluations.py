@@ -3,22 +3,16 @@
 Usage: python tools/evaluations.py SRC_DIR
 
 Imports empkit from SRC_DIR (the directory that holds the ``empkit``
-package) and wraps ``empkit.empowerment._mi_core``, the batched objective.
-``maximize_empowerment`` advances its restarts in lockstep: each call
-evaluates the next trial point of every live restart, one lane per
-restart.  So per state:
-
-* ``calls`` is the number of objective calls, which is also the longest
-  restart's evaluation count;
-* ``lanes`` is the number of lane evaluations, summed over the restarts.
+package) and wraps ``empkit.empowerment._mi_core``, the objective, to
+count its ``calls``: one per evaluation, summed over the restarts.
 
 Prints one line per AC-5 state (the 25-state diagonal from (-pi, -8) to
 (0, 0), seed i), their mean, the mean and maximum of the Blahut-Arimoto
 evaluations (``iterations``) of ``oracle_empowerment`` at its defaults on
 those states, as AC-5 runs it, the mean, 99th percentile and maximum of
-both counts over the default 41x41 grid (cell i with seed i, as
-``empkit landscape`` seeds it), and the mean and maximum of both counts
-per ``select_action`` step of a 50-step rollout from (pi, 0) (step t with
+the calls over the default 41x41 grid (cell i with seed i, as
+``empkit landscape`` seeds it), and their mean and maximum per
+``select_action`` step of a 50-step rollout from (pi, 0) (step t with
 seed t over the three default torques, as ``empkit rollout`` runs it).
 Compare two source trees with
 
@@ -48,17 +42,17 @@ def evaluations():
 
     cfg = RunConfig()
     model = build_pendulum_dynamics(cfg.pendulum_params())
-    lanes = []
+    calls = []
     mi_core = empkit.empowerment._mi_core
 
-    def counted(model, state, mean, log_std, eps, want_grad):
-        lanes.append(len(eps))
-        return mi_core(model, state, mean, log_std, eps, want_grad)
+    def counted(*args):
+        calls.append(None)
+        return mi_core(*args)
 
     def count(state, seed):
-        lanes.clear()
+        calls.clear()
         maximize_empowerment(model, state, cfg.optimizer_options(seed=seed))
-        return len(lanes), sum(lanes)
+        return len(calls)
 
     def rollout(steps):
         torque = cfg.pendulum_params().max_torque
@@ -66,10 +60,10 @@ def evaluations():
         state = PendulumState(np.pi, 0.0)
         counts = []
         for t in range(steps):
-            lanes.clear()
+            calls.clear()
             opts = cfg.optimizer_options(seed=cfg.seed + t)
             action, _ = select_action(model, state.as_vector(), candidates, opts)
-            counts.append((len(lanes), sum(lanes)))
+            counts.append(len(calls))
             y = model.conditional(state.as_vector(), action).mean
             state = PendulumState(y[0], y[1])
         return counts
@@ -86,22 +80,19 @@ def evaluations():
     finally:
         empkit.empowerment._mi_core = mi_core
 
-    lines = [f"ac5[{i}] calls {c} lanes {n}" for i, (c, n) in enumerate(ac5)]
-    calls, lane_evals = np.array(ac5).mean(axis=0)
-    lines.append(f"ac5 mean calls {calls:.2f} lanes {lane_evals:.2f}")
+    lines = [f"ac5[{i}] calls {c}" for i, c in enumerate(ac5)]
+    lines.append(f"ac5 mean calls {np.mean(ac5):.2f}")
     lines.append(f"ac5 oracle evaluations mean {np.mean(ba):.2f} max {max(ba)}")
     grid = np.array(grid)
-    for name, column in zip(("calls", "lanes"), grid.T):
-        lines.append(
-            f"grid {cfg.angle_count}x{cfg.velocity_count} {name} "
-            f"mean {column.mean():.2f} p99 {np.percentile(column, 99):.2f} "
-            f"max {column.max()}"
-        )
-    for name, column in zip(("calls", "lanes"), np.array(steps).T):
-        lines.append(
-            f"rollout {ROLLOUT_STEPS} steps {name} per step "
-            f"mean {column.mean():.2f} max {column.max()}"
-        )
+    lines.append(
+        f"grid {cfg.angle_count}x{cfg.velocity_count} calls "
+        f"mean {grid.mean():.2f} p99 {np.percentile(grid, 99):.2f} max {grid.max()}"
+    )
+    steps = np.array(steps)
+    lines.append(
+        f"rollout {ROLLOUT_STEPS} steps calls per step "
+        f"mean {steps.mean():.2f} max {steps.max()}"
+    )
     return lines
 
 
