@@ -405,9 +405,13 @@ def maximize_empowerment(
     with np.errstate(all="ignore"):
         for r in range(opts.restarts):
             # one stream per restart: its first n rows are eps, its last row
-            # the initial-mean kick
-            draw = _draw_eps(opts.seed + r, n + 1, k)
-            eps = draw[:-1]
+            # the initial-mean kick; restart 0 of a one-dimensional action
+            # reads neither, so it draws none
+            if r > 0 or n > 0:
+                draw = _draw_eps(opts.seed + r, n + 1, k)
+                eps = draw[:-1]
+            else:
+                eps = None
 
             def objective(x):
                 x = np.array(x)

@@ -108,6 +108,19 @@ def outer_loop_discretization(model, state, action_grid, state_bins):
     return np.vstack(rows)
 
 
+def random_channels(n):
+    """The first ``n`` of the random channels on which ``blahut_arimoto``'s
+    convergence is counted: from ``default_rng(0)``, sizes from
+    ``integers(1, 7, size=2)`` and Dirichlet rows with alpha cycling over
+    0.2 / 1 / 5."""
+    rng = np.random.default_rng(0)
+    channels = []
+    for i in range(n):
+        a, s = rng.integers(1, 7, size=2)
+        channels.append(rng.dirichlet(np.full(s, (0.2, 1.0, 5.0)[i % 3]), size=a))
+    return channels
+
+
 def assert_bounds_of_input_distribution(P, res):
     """``res`` reports the Arimoto bounds of its own input distribution on
     the strictly positive channel ``P``."""
@@ -516,6 +529,49 @@ class TestBlahutArimoto:
         # the textbook update takes 380 evaluations here
         res = blahut_arimoto(DiscreteChannel(ac5_channel()), tol=1e-3)
         assert res.converged and res.iterations <= 200
+
+    @pytest.mark.parametrize("seed", [12, 13])
+    def test_extrapolation_trial_follows_the_textbook_step(self, seed):
+        """After a discarded trial (evaluation k) and the textbook step, the
+        next evaluation is the extrapolation trial q ~ p (p / anchor), whose
+        anchor is at first the uniform start.  Taken (seed 12), it moves
+        the iterate there; discarded (seed 13), its evaluation counts,
+        ``lower_bounds`` repeats the current iterate's entry and a run cut
+        right after it returns that iterate."""
+        P = np.random.default_rng(seed).dirichlet(np.ones(5), size=4)
+        lb = np.array(blahut_arimoto(DiscreteChannel(P), tol=1e-12).lower_bounds)
+        k = int(np.flatnonzero(np.diff(lb) == 0)[0]) + 1
+        # the first trial after the textbook step of evaluation k + 1
+        j = k + 2
+        before = blahut_arimoto(DiscreteChannel(P), tol=1e-12, max_iter=j)
+        after = blahut_arimoto(DiscreteChannel(P), tol=1e-12, max_iter=j + 1)
+        assert lb[k + 1] > lb[k] and before.gap > 1e-4
+        p = before.input_distribution
+        if seed == 12:
+            assert lb[j] > lb[j - 1]
+            np.testing.assert_allclose(
+                after.input_distribution, p * p / (p @ p), rtol=1e-12, atol=0
+            )
+        else:
+            assert after.lower_bounds == before.lower_bounds + before.lower_bounds[-1:]
+            np.testing.assert_array_equal(after.input_distribution, p)
+        for res in (before, after):
+            assert not res.converged
+            assert_bounds_of_input_distribution(P, res)
+
+    def test_ac5_channel_converges_in_at_most_50_evaluations(self):
+        # the over-relaxed step without extrapolation took 137 here
+        res = blahut_arimoto(DiscreteChannel(ac5_channel()), tol=1e-3)
+        assert res.converged and res.iterations <= 50
+
+    @pytest.mark.parametrize("draw", [147, 174, 325, 477])
+    def test_converges_at_defaults_where_the_over_relaxed_step_stalled(self, draw):
+        """Random channels whose gap stalled between 1.3e-8 and 1.7e-5 at
+        ``max_iter`` under the over-relaxed step without extrapolation."""
+        P = random_channels(draw + 1)[draw]
+        res = blahut_arimoto(DiscreteChannel(P))
+        assert res.converged and res.iterations < 10_000
+        assert_bounds_of_input_distribution(P, res)
 
     def test_converges_at_defaults_where_the_textbook_update_stalls(self):
         """A 5 x 2 channel (draw 14 of 600 from ``default_rng(0)``: sizes

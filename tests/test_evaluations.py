@@ -21,9 +21,11 @@ def test_evaluations_tool_prints_every_line():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     # 25 AC-5 states, their mean, the oracle's evaluations on them, the
-    # grid's calls and the rollout's calls per step
-    assert len(lines) == 25 + 1 + 1 + 1 + 1
+    # grid's calls, the rollout's calls per step and Blahut-Arimoto on the
+    # random channels
+    assert len(lines) == 25 + 1 + 1 + 1 + 1 + 1
     assert lines[0].startswith("ac5[0] calls ")
     assert lines[26].startswith("ac5 oracle evaluations mean ")
-    assert lines[-2].startswith("grid 41x41 calls mean ")
-    assert lines[-1].startswith("rollout 50 steps calls per step mean ")
+    assert lines[-3].startswith("grid 41x41 calls mean ")
+    assert lines[-2].startswith("rollout 50 steps calls per step mean ")
+    assert lines[-1].startswith("random 600 channels unconverged ")

@@ -14,6 +14,10 @@ the calls over the default 41x41 grid (cell i with seed i, as
 ``empkit landscape`` seeds it), and their mean and maximum per
 ``select_action`` step of a 50-step rollout from (pi, 0) (step t with
 seed t over the three default torques, as ``empkit rollout`` runs it).
+Its last line counts ``blahut_arimoto`` at its defaults on 600 random
+channels (from ``default_rng(0)``, sizes from ``integers(1, 7, size=2)``
+and Dirichlet rows with alpha cycling over 0.2 / 1 / 5): the draws that
+end unconverged, by index, and the mean evaluations per channel.
 Compare two source trees with
 
     diff <(python tools/evaluations.py ../parent/src) <(python tools/evaluations.py src)
@@ -27,6 +31,24 @@ from pathlib import Path
 import numpy as np
 
 ROLLOUT_STEPS = 50
+RANDOM_CHANNELS = 600
+
+
+def random_channel_evaluations():
+    """Indices of the random channels on which ``blahut_arimoto`` ends
+    unconverged at its defaults, and its evaluations on each channel."""
+    from empkit import DiscreteChannel, blahut_arimoto
+
+    rng = np.random.default_rng(0)
+    unconverged, counts = [], []
+    for i in range(RANDOM_CHANNELS):
+        a, s = rng.integers(1, 7, size=2)
+        P = rng.dirichlet(np.full(s, (0.2, 1.0, 5.0)[i % 3]), size=a)
+        res = blahut_arimoto(DiscreteChannel(P))
+        counts.append(res.iterations)
+        if not res.converged:
+            unconverged.append(i)
+    return unconverged, counts
 
 
 def evaluations():
@@ -92,6 +114,11 @@ def evaluations():
     lines.append(
         f"rollout {ROLLOUT_STEPS} steps calls per step "
         f"mean {steps.mean():.2f} max {steps.max()}"
+    )
+    unconverged, counts = random_channel_evaluations()
+    lines.append(
+        f"random {RANDOM_CHANNELS} channels unconverged {len(unconverged)} "
+        f"{unconverged} evaluations mean {np.mean(counts):.2f}"
     )
     return lines
 
