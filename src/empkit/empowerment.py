@@ -4,12 +4,12 @@ objective over a per-state Gaussian action distribution.
 The objective averages closed-form KL divergences from the conditional
 next-state Gaussians at a set of weighted node actions of the policy to
 q, the moment match of their mixture (exact in its mean and variance).
-For a one-dimensional action the nodes are K = 20 Gauss-Hermite points;
-for a multi-dimensional one they are a fixed eps draw of equal weights
-(common random numbers), one per restart.  Either objective is
-deterministic and smooth, so a projected quasi-Newton (BFGS) ascent with
-analytic gradients applies; the gradients are verified against central
-finite differences in the test suite.
+``_nodes`` alone chooses them: for a one-dimensional action the K = 20
+Gauss-Hermite points, for a multi-dimensional one a fixed eps draw of
+equal weights from the seed (common random numbers), shared by every
+restart.  Either objective is deterministic and smooth, so a projected
+quasi-Newton (BFGS) ascent with analytic gradients applies; the gradients
+are verified against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -147,29 +147,42 @@ def marginal_transition(
     """
     state = _as_vector(state, model.state_dim, "state")
     _check_policy(model, policy)
-    k = policy.dim
-    eps = _draw_eps(0, OptimizerOptions.mc_samples, k) if k > 1 else None
+    nodes = _nodes(policy.dim, OptimizerOptions.mc_samples, 0)
     M, V = _node_moments(
-        model, state, policy.action_mean, policy.action_log_std, eps
+        model, state, policy.action_mean, policy.action_log_std, nodes
     )[:2]
     return DiagonalGaussian(M, V)
 
 
-def _node_moments(model, state, mean, log_std, eps):
-    """The conditionals at the node actions mean + exp(log_std) * x_i and
-    their mixture's moments, for (k,) ``mean`` and ``log_std``.
+def _nodes(k, mc_samples, seed):
+    """The objective's node set ``(x, w)`` for a k-dimensional action: the
+    one place that tells the two rules apart and draws eps.
 
-    For k = 1 the nodes x_i are the Gauss-Hermite points with their weights
-    and ``eps`` is not read; otherwise they are the rows of ``eps`` (n, k),
-    each of weight 1/n.  Returns M and V (d,), the nodes' offsets from M
-    and variances (n, d), the weights, the action offsets
-    exp(log_std) * x_i (n, k) and the node pass's tape.
+    For k = 1, the Gauss-Hermite points (20, 1) and weights (20, 1);
+    ``mc_samples`` and ``seed`` are not read.  Otherwise ``mc_samples``
+    eps rows (n, k) from ``seed``, each of weight 1/n.
     """
-    if mean.size == 1:
-        nodes, w = _GH_NODES[:, None], _GH_WEIGHTS[:, None]
-    else:
-        nodes, w = eps, 1.0 / len(eps)
-    offsets = np.exp(log_std) * nodes
+    if k == 1:
+        return _GH_NODES[:, None], _GH_WEIGHTS[:, None]
+    # with one eps row the mixture is that row's conditional: the objective
+    # is identically 0 and an ascent would stop at its start
+    if mc_samples < 2:
+        raise ValueError("mc_samples must be >= 2 for a multi-dimensional action")
+    eps = np.random.default_rng(seed).standard_normal((mc_samples, k))
+    return eps, 1.0 / mc_samples
+
+
+def _node_moments(model, state, mean, log_std, nodes):
+    """The conditionals at the node actions mean + exp(log_std) * x_i and
+    their mixture's moments, for (k,) ``mean`` and ``log_std`` and the
+    ``(x, w)`` of ``_nodes``.
+
+    Returns M and V (d,), the nodes' offsets from M and variances (n, d),
+    the weights, the action offsets exp(log_std) * x_i (n, k) and the node
+    pass's tape.
+    """
+    x, w = nodes
+    offsets = np.exp(log_std) * x
     mp, vp, tape = model._node_pass(state, mean + offsets)
     M = (w * mp).sum(axis=0)
     dm = mp - M
@@ -177,19 +190,19 @@ def _node_moments(model, state, mean, log_std, eps):
     return M, V, dm, vp, w, offsets, tape
 
 
-def _mi_core(model, state, mean, log_std, eps, want_grad):
+def _mi_core(model, state, mean, log_std, nodes, want_grad):
     """Objective (and optionally its gradient) of one policy.
 
-    ``mean`` and ``log_std`` are (k,); ``eps`` is (n, k), a fixed draw,
-    read only for k > 1.  Returns the value and the gradients wrt mean and
-    log-std (None without ``want_grad``).
+    ``mean`` and ``log_std`` are (k,); ``nodes`` is the ``(x, w)`` of
+    ``_nodes``.  Returns the value and the gradients wrt mean and log-std
+    (None without ``want_grad``).
 
     The value is sum_i w_i KL(N(m_i, v_i) || N(M, V)) over the node
     actions of ``_node_moments``.  Its gradient holds q = N(M, V) fixed: q
     is the Gaussian closest to the weighted node mixture in the KL the
     value sums, so the derivative through (M, V) is zero for any weights.
     """
-    M, V, dm, vp, w, offsets, tape = _node_moments(model, state, mean, log_std, eps)
+    M, V, dm, vp, w, offsets, tape = _node_moments(model, state, mean, log_std, nodes)
     # the node terms (v_i + dm_i^2) / 2V sum to 1/2 with the weights, so
     # the weighted KL sum is (ln V - sum_i w_i ln v_i) / 2 per dimension
     value = 0.5 * (np.log(V) - (w * np.log(vp)).sum(axis=0)).sum()
@@ -200,29 +213,16 @@ def _mi_core(model, state, mean, log_std, eps, want_grad):
     return value, ga.sum(axis=0), (ga * offsets).sum(axis=0)
 
 
-def _check_mc_samples(mc_samples, action_dim):
-    # with one eps row the mixture is that row's conditional: the objective
-    # is identically 0 and an ascent would stop at its start
-    if action_dim > 1 and mc_samples < 2:
-        raise ValueError("mc_samples must be >= 2 for a multi-dimensional action")
-
-
-def _draw_eps(seed: int, mc_samples: int, action_dim: int) -> np.ndarray:
-    return np.random.default_rng(seed).standard_normal((mc_samples, action_dim))
-
-
 def _objective(model, state, policy, mc_samples, seed, want_grad):
-    """Validated inputs, the seed's eps draw (k > 1 only) and one
-    ``_mi_core`` call: the value, with the gradient if ``want_grad``."""
+    """Validated inputs, the seed's node set and one ``_mi_core`` call: the
+    value, with the gradient if ``want_grad``."""
     state = _as_vector(state, model.state_dim, "state")
     _check_policy(model, policy)
     _check_int("mc_samples", mc_samples)
     _check_int("seed", seed, minimum=0)
-    k = model.action_dim
-    _check_mc_samples(mc_samples, k)
-    eps = _draw_eps(seed, mc_samples, k) if k > 1 else None
+    nodes = _nodes(model.action_dim, mc_samples, seed)
     value, gmean, glog = _mi_core(
-        model, state, policy.action_mean, policy.action_log_std, eps, want_grad
+        model, state, policy.action_mean, policy.action_log_std, nodes, want_grad
     )
     if not want_grad:
         return float(value)
@@ -238,9 +238,9 @@ def mi_lower_bound(
 ) -> float:
     """Mutual-information objective E_a KL(p(x'|x,a) || q) of ``policy``.
 
-    The expectation is over the node actions of ``marginal_transition``
-    and q is their mixture's moments.  For a one-dimensional action the
-    nodes are the 20-point Gauss-Hermite rule, and ``mc_samples`` and
+    The expectation is over the node actions of ``_nodes(k, mc_samples,
+    seed)`` and q is their mixture's moments.  For a one-dimensional action
+    the nodes are the 20-point Gauss-Hermite rule, and ``mc_samples`` and
     ``seed`` are validated and have no effect.  Otherwise they are
     ``mc_samples`` >= 2 eps rows drawn from ``seed``, of equal weight, so
     the value is deterministic per seed.
@@ -377,16 +377,17 @@ def maximize_empowerment(
 ) -> EmpowermentEstimate:
     """Ascend the MI objective with projected BFGS; best result over restarts.
 
-    The objective is deterministic and smooth with analytic gradients (see
-    ``_mi_core``).  Restart r > 0 starts from a mean kicked by a draw from
-    seed ``opts.seed + r``; for a multi-dimensional action that stream
-    also gives restart r its fixed eps draw.  The ascent is a quasi-Newton
-    (BFGS) iteration over (action_mean, action_log_std) with Armijo
-    backtracking, log-std clipped to ``[LOG_STD_MIN, LOG_STD_MAX]``; one
-    iteration may take several objective evaluations.  The restarts run
-    one after another.  Each keeps its last accepted iterate, its best; a
-    restart whose objective turns non-finite counts as failed.  For a
-    multi-dimensional action ``opts.mc_samples`` must be at least 2.
+    Every restart ascends one objective, deterministic and smooth with
+    analytic gradients (see ``_mi_core``), on the nodes of ``_nodes(k,
+    opts.mc_samples, opts.seed)`` (k > 1 needs ``mc_samples`` >= 2): the
+    value returned is ``mi_lower_bound`` of the policy returned at those
+    options.  Restart r > 0 starts from a mean kicked by a draw from seed
+    ``opts.seed + r``.  The ascent is a quasi-Newton (BFGS) iteration over
+    (action_mean, action_log_std) with Armijo backtracking, log-std clipped
+    to ``[LOG_STD_MIN, LOG_STD_MAX]``; one iteration may take several
+    objective evaluations.  The restarts run one after another.  Each keeps
+    its last accepted iterate, its best; a restart whose objective turns
+    non-finite counts as failed.
     ``iterations`` is the quasi-Newton iteration count of the winning
     restart; ``grad_norm`` is the infinity norm of the projected gradient
     (log-std components pushing against an active clamp are zeroed) at the
@@ -394,35 +395,25 @@ def maximize_empowerment(
     """
     state = _as_vector(state, model.state_dim, "state")
     k = model.action_dim
-    _check_mc_samples(opts.mc_samples, k)
+    nodes = _nodes(k, opts.mc_samples, opts.seed)
 
-    # the Gauss-Hermite objective of a one-dimensional action takes no eps
-    n = opts.mc_samples if k > 1 else 0
+    def objective(x):
+        x = np.array(x)
+        value, gmean, glog = _mi_core(model, state, x[:k], x[k:], nodes, True)
+        return float(value), np.concatenate([gmean, glog])
+
     best = None  # (value, mean, log_std, grad_norm, iterations)
     failures = 0
     # a diverging restart fails through its non-finite value, whatever the
     # warnings filter says about the arithmetic that produced it
     with np.errstate(all="ignore"):
         for r in range(opts.restarts):
-            # one stream per restart: its first n rows are eps, its last row
-            # the initial-mean kick; restart 0 of a one-dimensional action
-            # reads neither, so it draws none
-            if r > 0 or n > 0:
-                draw = _draw_eps(opts.seed + r, n + 1, k)
-                eps = draw[:-1]
-            else:
-                eps = None
-
-            def objective(x):
-                x = np.array(x)
-                value, gmean, glog = _mi_core(model, state, x[:k], x[k:], eps, True)
-                return float(value), np.concatenate([gmean, glog])
-
-            # restart 0 starts at the canonical initial policy; later
-            # restarts perturb the initial mean to reach other basins of the
-            # objective.  For k = 1 that is all that sets them apart, and on
-            # the pendulum four restarts find the value of one to 2.5e-7.
-            mean = (0.5 * draw[-1]).tolist() if r > 0 else [0.0] * k
+            # restart 0 starts at the canonical initial policy and draws
+            # nothing; later ones kick the mean to reach other basins
+            mean = [0.0] * k
+            if r > 0:
+                kick = np.random.default_rng(opts.seed + r).standard_normal(k)
+                mean = (0.5 * kick).tolist()
             try:
                 result, iters = _ascend(mean + [-1.0] * k, objective, opts)
             except FloatingPointError:

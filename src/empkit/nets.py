@@ -262,9 +262,7 @@ def forward_point(net: FeedforwardNet, x) -> np.ndarray:
     """Plain forward pass; accepts a vector or a batch of row vectors."""
     h = np.asarray(x, dtype=float)
     _check_input(net, h.shape[-1])
-    for layer in net.layers:
-        h = layer.act_all(h @ layer.weights.T + layer.bias)[0]
-    return h
+    return _point_trace(net, h)[0]
 
 
 def forward_moments(net: FeedforwardNet, g: DiagonalGaussian) -> DiagonalGaussian:
@@ -285,9 +283,9 @@ def forward_moments(net: FeedforwardNet, g: DiagonalGaussian) -> DiagonalGaussia
 
 
 # ---------------------------------------------------------------------------
-# point pass + hand-rolled reverse mode, behind ``DynamicsModel._node_pass``
-# and its ``_node_reverse`` (the nets here are tiny; autodiff frameworks are
-# not worth the dependency).
+# point pass + hand-rolled reverse mode, behind ``forward_point``,
+# ``DynamicsModel._node_pass`` and its ``_node_reverse`` (the nets here are
+# tiny; autodiff frameworks are not worth the dependency).
 
 
 def _point_trace(net, H):

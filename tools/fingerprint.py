@@ -8,10 +8,12 @@ package) and prints ``float.hex`` of a fixed set of outputs, one per line:
 * ``maximize_empowerment`` (value, policy mean and log-std, iterations,
   converged) on AC-5's 25-state diagonal (seed i), on a 5x5 subgrid of the
   default grid through ``empowerment_landscape`` (seed 0), and with 6
-  restarts at three Monte Carlo draw counts;
+  restarts at seeds 1, 8 and 33 (``mc_samples`` equal to the seed, which
+  the one-dimensional action's Gauss-Hermite objective does not read);
 * ``mi_lower_bound``, ``mi_lower_bound_with_gradient``,
   ``marginal_transition`` and ``forward_moments`` at 40 seeded random
-  states, policies, Monte Carlo draw counts and seeds;
+  states and policies (the pendulum's action is one-dimensional, so the
+  ``mc_samples`` and ``seed`` passed vary but have no effect);
 * ``select_action`` from (pi, 0) over torques -2, 0, 2;
 * point evaluation on the pendulum and on a seeded mixed-tag net:
   ``forward_point`` on a vector, an (n, in) batch and an (n, 1, in)
