@@ -1,20 +1,21 @@
 """Feedforward networks with point evaluation and Gaussian moment propagation.
 
 A network is a sequence of layers, each an affine map followed by an
-elementwise activation.  Two evaluation modes exist:
+elementwise activation.  ``_point_trace`` is the one loop over a net's
+layers: it evaluates rows with any leading axes and keeps each layer's f'.
 
-* ``forward_point``: ordinary forward pass on a vector.
+* ``forward_point``: ordinary forward pass on a vector or a batch of rows.
 * ``forward_moments``: pushes a diagonal Gaussian through the network.
-  Affine layers use the exact linear-Gaussian rule (off-diagonal output
-  covariance dropped), nonlinear activations use the first-order delta
-  method: mean -> f(mu), variance -> f'(mu)^2 * var.  The estimator does
-  not use it: it marginalizes the action over point evaluations
-  (``DynamicsModel._node_pass``).
+  The mean is the point pass at the input mean, mu -> f(mu); the variance
+  takes the exact affine rule (off-diagonal covariance dropped) and the
+  first-order delta method, var -> f'(mu)^2 * var, with f' from that
+  trace.  The estimator does not use it: it marginalizes the action over
+  point evaluations (``DynamicsModel._node_pass``).
 
 Activations may be a single tag applied to the whole layer or a per-unit
 list of tags; the latter is needed to express mixed branches (e.g. a sine
 branch next to pass-through units) in a single layer.  An ``identity``
-unit has no activation: the layer passes its affine output through.
+unit passes its affine output through, with f' = 1.
 """
 
 from __future__ import annotations
@@ -57,15 +58,14 @@ class LayerSpec:
     """One affine + activation layer.
 
     ``activation`` is either a single tag (applied to every unit) or a
-    sequence of tags, one per output unit.  ``"identity"`` units have no
-    activation; only the runs of other tags are stored and applied.
+    sequence of tags, one per output unit.  ``"identity"`` units keep
+    f = z and f' = 1; only the runs of other tags are stored and applied.
     """
 
     weights: np.ndarray
     bias: np.ndarray
     activation: object = "identity"
     _runs: tuple = field(init=False, repr=False, compare=False)
-    _linear: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # copies, so that freezing them leaves the caller's arrays writable
@@ -100,7 +100,6 @@ class LayerSpec:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
         object.__setattr__(self, "_runs", tuple(runs))
-        object.__setattr__(self, "_linear", not runs)
 
     @property
     def in_dim(self) -> int:
@@ -220,37 +219,33 @@ class DynamicsModel:
         """
         state = _as_vector(state, self.state_dim, "state")
         actions = _as_rows(action, self.action_dim, "action")
-        d = self.state_dim
-        x = np.empty((len(actions), 1, self.net.in_dim))
-        x[:, 0, :d] = state
-        x[:, 0, d:] = actions
-        y = forward_point(self.net, x)[:, 0]
+        mean, variance, _ = self._node_pass(state, actions[:, None])
         # one action; _as_rows has ruled out a ragged batch by now
-        if np.ndim(action) < 2:
-            y = y[0]
-        return DiagonalGaussian(y[..., :d], np.exp(2.0 * y[..., d:]))
+        rows = 0 if np.ndim(action) < 2 else slice(None)
+        return DiagonalGaussian(mean[rows, 0], variance[rows, 0])
 
     def _node_pass(self, state, actions):
-        """Conditionals of (n, k) action rows from one point pass.
+        """Conditionals of action rows (..., k) from one point pass.
 
-        The output halves (mean, log-std) give next-state Gaussians of
-        variance exp(2 * log-std).  Returns their means and variances
-        (n, d) and the tape that ``_node_reverse`` consumes.
+        The net's input rows are [state | action] and its output rows
+        [mean | log-std], a next-state Gaussian of variance
+        exp(2 * log-std).  Returns the means and variances (..., d) and
+        the tape that ``_node_reverse`` consumes.
         """
         d = self.state_dim
-        X = np.empty((len(actions), d + self.action_dim))
-        X[:, :d] = state
-        X[:, d:] = actions
+        X = np.empty(actions.shape[:-1] + (self.net.in_dim,))
+        X[..., :d] = state
+        X[..., d:] = actions
         Y, trace = _point_trace(self.net, X)
-        vp = np.exp(2.0 * Y[:, d:])
-        return Y[:, :d], vp, (trace, vp)
+        vp = np.exp(2.0 * Y[..., d:])
+        return Y[..., :d], vp, (trace, vp)
 
     def _node_reverse(self, tape, gmp, gvp):
         """Reverse step of ``_node_pass``: gradients wrt its two outputs
-        mapped onto the action rows (n, k)."""
+        mapped onto the action rows (..., k)."""
         trace, vp = tape
-        G = np.concatenate([gmp, gvp * 2.0 * vp], axis=1)
-        return _point_backprop(trace, G)[:, self.state_dim :]
+        G = np.concatenate([gmp, gvp * 2.0 * vp], axis=-1)
+        return _point_backprop(trace, G)[..., self.state_dim :]
 
 
 def _check_input(net, dim):
@@ -266,26 +261,23 @@ def forward_point(net: FeedforwardNet, x) -> np.ndarray:
 
 
 def forward_moments(net: FeedforwardNet, g: DiagonalGaussian) -> DiagonalGaussian:
-    """Push a diagonal Gaussian through the network layer by layer.
-
-    Each propagated variance is floored at ``VAR_FLOOR``.
-    """
+    """Push a diagonal Gaussian through the network: the point pass at
+    its mean, and per layer the affine rule and f'(mu)^2 on its variance,
+    floored at ``VAR_FLOOR``."""
     g = _single(g)
     _check_input(net, g.dim)
-    # a (1, 1, in) mean and a (1, in) variance: BLAS rounds by the shapes
-    # of its products, and these are the shapes the outputs were pinned at
-    h, v = g.mean[None, None, :], g.variance[None, :]
-    for layer in net.layers:
-        h, df = layer.act_all(h @ layer.weights.T + layer.bias)
-        raw = df[:, 0] ** 2 * (v[:, None, :] @ (layer.weights**2).T)[:, 0]
+    h, trace = _point_trace(net, g.mean)
+    v = g.variance
+    for layer, df in trace:
+        raw = df**2 * (v @ (layer.weights**2).T)
         v = np.where(raw > VAR_FLOOR, raw, VAR_FLOOR)
-    return DiagonalGaussian(h[0, 0], v[0])
+    return DiagonalGaussian(h, v)
 
 
 # ---------------------------------------------------------------------------
-# point pass + hand-rolled reverse mode, behind ``forward_point``,
-# ``DynamicsModel._node_pass`` and its ``_node_reverse`` (the nets here are
-# tiny; autodiff frameworks are not worth the dependency).
+# the point pass behind every evaluation above, and its hand-rolled reverse
+# mode (the nets here are tiny; autodiff frameworks are not worth the
+# dependency).
 
 
 def _point_trace(net, H):
@@ -294,13 +286,7 @@ def _point_trace(net, H):
     trace."""
     trace = []
     for layer in net.layers:
-        Z = H @ layer.weights.T + layer.bias
-        if layer._linear:
-            # f' = 1: skipping its factor here and in the reverse pass keeps
-            # every finite value, up to the sign of a zero
-            H, dF = Z, None
-        else:
-            H, dF = layer.act_all(Z)
+        H, dF = layer.act_all(H @ layer.weights.T + layer.bias)
         trace.append((layer, dF))
     return H, trace
 
@@ -309,7 +295,5 @@ def _point_backprop(trace, G):
     """Reverse pass of ``_point_trace``: the gradient ``G`` wrt the output
     rows mapped onto the input rows."""
     for layer, dF in reversed(trace):
-        if dF is not None:
-            G = dF * G
-        G = G @ layer.weights
+        G = (dF * G) @ layer.weights
     return G

@@ -845,6 +845,24 @@ class TestNodePass:
             fd[idx] = (functional(up) - functional(down)) / (2 * h)
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
 
+    @pytest.mark.parametrize("case", ["pendulum", "mixed"])
+    def test_leading_axes_match_separate_calls(self, case):
+        # an (L, n, k) stack of action rows gives, in each of its L slices,
+        # the bits of that slice's own (n, k) pass and reverse step
+        model = PENDULUM if case == "pendulum" else mixed_tag_model()
+        state, actions = node_inputs(model, n=4 * 6, seed=3)
+        stack = actions.reshape(4, 6, model.action_dim)
+        rng = np.random.default_rng(4)
+        gmp, gvp = rng.normal(size=(2, 4, 6, model.state_dim))
+        mp, vp, tape = model._node_pass(state, stack)
+        grad = model._node_reverse(tape, gmp, gvp)
+        for i, rows in enumerate(stack):
+            one_mp, one_vp, one_tape = model._node_pass(state, rows)
+            np.testing.assert_array_equal(mp[i], one_mp)
+            np.testing.assert_array_equal(vp[i], one_vp)
+            one_grad = model._node_reverse(one_tape, gmp[i], gvp[i])
+            np.testing.assert_array_equal(grad[i], one_grad)
+
     def test_estimator_leaves_the_layout_to_the_model(self):
         # empowerment.py reaches the net only through DynamicsModel: it imports
         # no pass of nets.py and defines no marginal pass of its own

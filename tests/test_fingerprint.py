@@ -23,9 +23,10 @@ def test_fingerprint_tool_prints_every_line():
     lines = proc.stdout.splitlines()
     # 25 AC-5 states, 25 grid cells, 3 restart runs, 40 probes, one
     # select_action line, five point-evaluation lines on each of two nets,
-    # two lines per oracle state, then 10 two-action probes and one
-    # two-action estimate
-    assert len(lines) == 25 + 25 + 3 + 40 + 1 + 2 * 5 + 2 * 25 + 10 + 1
+    # two lines per oracle state, then 10 two-action probes, one two-action
+    # estimate and 10 moment probes on the two-action net
+    assert len(lines) == 25 + 25 + 3 + 40 + 1 + 2 * 5 + 2 * 25 + 10 + 1 + 10
     assert lines[0].startswith("ac5[0] ")
-    assert lines[-12].startswith("oracle[24] capacity ")
-    assert lines[-1].startswith("mixed_estimate ")
+    assert lines[-22].startswith("oracle[24] capacity ")
+    assert lines[-11].startswith("mixed_estimate ")
+    assert lines[-1].startswith("mixed_moments[9] ")

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -316,25 +314,3 @@ class TestForwardMoments:
             np.testing.assert_allclose(ys.mean(axis=0), out.mean, rtol=0.01, atol=1e-2)
             np.testing.assert_allclose(ys.var(axis=0), out.variance, rtol=0.10)
 
-
-class TestFusedPasses:
-    def test_identity_layer_skip_equals_its_full_activation(self):
-        # an all-identity layer skips its f' = 1 factor in the point pass and
-        # its reverse; running it anyway must give the same bits
-        from empkit import PendulumParams, build_pendulum_dynamics
-
-        net = build_pendulum_dynamics(PendulumParams()).net
-        assert [layer._linear for layer in net.layers] == [False, False, True]
-        full = dataclasses.replace(net.layers[-1])
-        object.__setattr__(full, "_linear", False)
-        full_net = FeedforwardNet(net.layers[:-1] + (full,))
-        rng = np.random.default_rng(12)
-        H = rng.normal(size=(3, 9, net.in_dim))
-        G = rng.normal(size=(3, 9, net.out_dim))
-
-        def passes(net):
-            Y, trace = empkit.nets._point_trace(net, H)
-            return Y, empkit.nets._point_backprop(trace, G.copy())
-
-        for got, want in zip(passes(net), passes(full_net)):
-            np.testing.assert_array_equal(got, want)

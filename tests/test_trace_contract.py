@@ -9,8 +9,14 @@ stops looking these names up through their modules leaves the spans empty,
 and the benchmark then prints ``null`` for metrics such as
 ``empowerment.estimate_ms``, ``empowerment.iterations_mean`` and
 ``empowerment.converged_frac``.  These tests wrap the same names the same
-way and count the calls.
+way and count the calls.  The traced run also times the estimator's
+building blocks through ``perfbench/workloads.py::microbenchmarks``; the
+last test runs those probes.
 """
+
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 
@@ -69,3 +75,17 @@ def test_oracle_discretizes_and_runs_blahut_arimoto_once(monkeypatch):
     assert len(conditional) == 1
     assert len(discretize) == 1
     assert len(ba) == 1
+
+
+def test_benchmark_probes_run_at_an_ac5_state(monkeypatch):
+    # the names the probes call (the default sample count, the objective and
+    # its gradient, forward_moments, forward_point on a batch) must stay, or
+    # ``--trace 1`` fails where a plain run still passes
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import workloads
+
+    metrics = workloads.microbenchmarks(workloads.sweep_states()[12])
+    declared = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+    assert set(metrics) <= {m["name"] for m in declared}
+    assert metrics and all(math.isfinite(v) and v > 0 for v in metrics.values())

@@ -24,7 +24,10 @@ package) and prints ``float.hex`` of a fixed set of outputs, one per line:
 * the two-action estimator on the mixed-tag net: ``mi_lower_bound``,
   ``mi_lower_bound_with_gradient`` and ``marginal_transition`` at 10
   seeded random states, policies, Monte Carlo draw counts and seeds, and
-  one ``maximize_empowerment`` with 3 restarts.
+  one ``maximize_empowerment`` with 3 restarts;
+* ``forward_moments`` on the mixed-tag net at 10 seeded input Gaussians,
+  the first of zero variance, so that its output variances come from the
+  variance floor alone.
 
 Two source trees compute the same numbers bit for bit exactly when their
 outputs are byte-identical:
@@ -161,6 +164,12 @@ def fingerprint():
         )
     est = maximize_empowerment(mixed, [0.3, -0.4], OptimizerOptions(restarts=3, seed=5))
     lines.append(_estimate("mixed_estimate", est))
+
+    rng = np.random.default_rng(31)
+    for i in range(10):
+        var = rng.uniform(0.0, 0.5, 4) if i else np.zeros(4)
+        fm = forward_moments(mixed.net, DiagonalGaussian(rng.normal(0.0, 1.5, 4), var))
+        lines.append(f"mixed_moments[{i}] {_hex(fm.mean)} {_hex(fm.variance)}")
     return lines
 
 
