@@ -38,6 +38,8 @@ __all__ = [
 
 LOG_STD_MIN = -6.0
 LOG_STD_MAX = 2.0
+# every restart starts at this log-std: pendulum optima sit at the clamp
+_START_LOG_STD = 1.0
 
 # Armijo sufficient-increase constant, backtracking budget (step halvings)
 # and the relative curvature s.y below which a BFGS update is skipped
@@ -381,13 +383,13 @@ def maximize_empowerment(
     analytic gradients (see ``_mi_core``), on the nodes of ``_nodes(k,
     opts.mc_samples, opts.seed)`` (k > 1 needs ``mc_samples`` >= 2): the
     value returned is ``mi_lower_bound`` of the policy returned at those
-    options.  Restart r > 0 starts from a mean kicked by a draw from seed
-    ``opts.seed + r``.  The ascent is a quasi-Newton (BFGS) iteration over
-    (action_mean, action_log_std) with Armijo backtracking, log-std clipped
-    to ``[LOG_STD_MIN, LOG_STD_MAX]``; one iteration may take several
-    objective evaluations.  The restarts run one after another.  Each keeps
-    its last accepted iterate, its best; a restart whose objective turns
-    non-finite counts as failed.
+    options.  Restart 0 starts at N(0, e^2) (log-std ``_START_LOG_STD``),
+    restart r > 0 at a mean kicked by a draw from seed ``opts.seed + r``.
+    The ascent is a quasi-Newton (BFGS) iteration over (action_mean,
+    action_log_std) with Armijo backtracking, log-std clipped to
+    ``[LOG_STD_MIN, LOG_STD_MAX]``; one iteration may take several objective
+    evaluations.  The restarts run one after another.  Each keeps its last
+    accepted iterate, its best; a non-finite objective fails its restart.
     ``iterations`` is the quasi-Newton iteration count of the winning
     restart; ``grad_norm`` is the infinity norm of the projected gradient
     (log-std components pushing against an active clamp are zeroed) at the
@@ -415,7 +417,7 @@ def maximize_empowerment(
                 kick = np.random.default_rng(opts.seed + r).standard_normal(k)
                 mean = (0.5 * kick).tolist()
             try:
-                result, iters = _ascend(mean + [-1.0] * k, objective, opts)
+                result, iters = _ascend(mean + [_START_LOG_STD] * k, objective, opts)
             except FloatingPointError:
                 failures += 1  # non-finite objective: the restart failed
                 continue

@@ -35,6 +35,7 @@ from empkit.empowerment import (
     _MAX_BACKTRACKS,
     LOG_STD_MAX,
     LOG_STD_MIN,
+    _START_LOG_STD,
     _ascend,
     _mi_core,
     _nodes,
@@ -538,9 +539,9 @@ class TestMaximizeEmpowerment:
     @pytest.mark.parametrize(
         "state, expected, iterations",
         [
-            ([0.0, 0.0], 0.9101089510638385, 3),
-            ([np.pi, 0.0], 0.8210785968482974, 4),
-            ([1.0, -2.0], 0.8636692056839026, 4),
+            ([0.0, 0.0], 0.9101089510638385, 1),
+            ([np.pi, 0.0], 0.8210785968535341, 2),
+            ([1.0, -2.0], 0.8636692931060646, 2),
         ],
     )
     def test_reference_values_pinned(self, state, expected, iterations):
@@ -591,7 +592,7 @@ class TestMaximizeEmpowerment:
         # on the pendulum restarts > 1 move values by at most ~1e-6 nats; on
         # this random net of sine and tanh units the objective has several
         # basins in the action mean, and the start at mean 0 climbs a low one
-        rng = np.random.default_rng(7)
+        rng = np.random.default_rng(9)
         hidden = LayerSpec(
             rng.normal(0.0, 2.0, (8, 3)),
             rng.normal(size=8),
@@ -606,18 +607,20 @@ class TestMaximizeEmpowerment:
         one = maximize_empowerment(model, [0.3, -0.4], OptimizerOptions())
         four = maximize_empowerment(model, [0.3, -0.4], OptimizerOptions(restarts=4))
         assert one.converged and four.converged
-        assert one.value == pytest.approx(2.400, abs=1e-3)
-        assert four.value == pytest.approx(3.511, abs=1e-3)
+        assert one.value == pytest.approx(3.441, abs=1e-3)
+        assert four.value == pytest.approx(4.187, abs=1e-3)
 
     @pytest.mark.xfail(
         strict=True,
-        reason="deep in tanh's tail the objective's gradient at the initial "
-        "policy is ~8e-6, under the absolute grad_tol 1e-4: the ascent stops "
-        "at once, converged, at ~2e-6 nats while the capacity is ~0.74",
+        reason="the ascent now leaves the start and converges at the "
+        "log-std clamp, ~2.83 nats, while the oracle reads ~0.74: the two "
+        "routes maximize over different input sets (the oracle's actions "
+        "lie in [-4, 4], the Gaussian policy's are unbounded) and the "
+        "Gaussian q over-reports its own policy's information (~0.56)",
     )
     def test_saturated_start_ascends(self):
-        # x' = tanh(5 + a) + N(0, 0.05^2): the start N(0, e^-2) sits where
-        # tanh' ~ 2e-4, and a wider policy would reach the unsaturated side
+        # x' = tanh(5 + a) + N(0, 0.05^2): the nodes of the start N(0, e^2)
+        # reach past tanh's saturated tail, so the ascent leaves the start
         layer = LayerSpec(
             [[0.0, 1.0], [0.0, 0.0]], [5.0, np.log(0.05)], ("tanh", "identity")
         )
@@ -673,9 +676,8 @@ class TestMaximizeEmpowerment:
         state = [0.3, 1.0]
         opts = OptimizerOptions(seed=6)
         est = maximize_empowerment(model, state, opts)
-        init = mi_lower_bound(
-            model, state, GaussianPolicy([0.0], [-1.0]), opts.mc_samples, opts.seed
-        )
+        start = GaussianPolicy([0.0], [_START_LOG_STD])
+        init = mi_lower_bound(model, state, start, opts.mc_samples, opts.seed)
         assert est.value >= init
 
     @pytest.mark.parametrize(
@@ -965,10 +967,9 @@ def reference_maximize(model, state, opts):
         mean = np.zeros(k)
         if r > 0:
             mean = 0.5 * np.random.default_rng(opts.seed + r).standard_normal(k)
+        x0 = np.concatenate([mean, np.full(k, _START_LOG_STD)])
         try:
-            result, iters = reference_ascend(
-                np.concatenate([mean, -np.ones(k)]), objective, opts
-            )
+            result, iters = reference_ascend(x0, objective, opts)
         except FloatingPointError:
             failures += 1
             continue

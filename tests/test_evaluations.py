@@ -1,7 +1,10 @@
 """``tools/evaluations.py`` runs end to end.
 
 The evaluation counts of two source trees are compared by diffing this
-tool's output, so the tool itself has to keep working.
+tool's output, so the tool itself has to keep working.  The estimator's
+counts are bounded too: from the ascent's start at log-std 1 a pendulum
+state costs about three objective calls, and from a narrow start at
+log-std -1 about six, spent walking the log-std up to its clamp.
 """
 
 import subprocess
@@ -25,7 +28,13 @@ def test_evaluations_tool_prints_every_line():
     # random channels
     assert len(lines) == 25 + 1 + 1 + 1 + 1 + 1
     assert lines[0].startswith("ac5[0] calls ")
+    assert lines[25].startswith("ac5 mean calls ")
     assert lines[26].startswith("ac5 oracle evaluations mean ")
     assert lines[-3].startswith("grid 41x41 calls mean ")
     assert lines[-2].startswith("rollout 50 steps calls per step mean ")
     assert lines[-1].startswith("random 600 channels unconverged ")
+    # the estimator's objective calls: per AC-5 state, per grid cell and
+    # per select_action step over its three candidate torques
+    assert float(lines[25].split()[-1]) <= 3.0
+    assert int(lines[-3].split()[-1]) <= 3
+    assert int(lines[-2].split()[-1]) <= 9
