@@ -76,15 +76,16 @@ class GaussianPolicy:
     action_log_std: np.ndarray
 
     def __post_init__(self):
-        # a copy (the clip below copies log_std), so that freezing them
+        # a copy (the clamp below copies log_std), so that freezing them
         # leaves the caller's arrays writable
         mean = np.atleast_1d(np.array(self.action_mean, dtype=float))
         log_std = np.atleast_1d(np.asarray(self.action_log_std, dtype=float))
         if mean.shape != log_std.shape or mean.ndim != 1:
             raise ValueError("mean and log_std must be vectors of equal length")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(log_std))):
+        if not (np.isfinite(mean).all() and np.isfinite(log_std).all()):
             raise ValueError("policy parameters must be finite")
-        log_std = np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
+        # the same bits as np.clip at half its cost
+        log_std = np.minimum(np.maximum(log_std, LOG_STD_MIN), LOG_STD_MAX)
         mean.setflags(write=False)
         log_std.setflags(write=False)
         object.__setattr__(self, "action_mean", mean)
@@ -284,12 +285,12 @@ def _ascend(x, objective, opts):
     gradient; values never fall along the path, so it is the best iterate.
     Raises FloatingPointError on a non-finite objective.
 
-    Each trial step starts at unit length or shorter: the steepest step is
-    the projected gradient scaled to length 1, and a quasi-Newton step
-    longer than 1 is scaled down to length 1.  Armijo backtracking halves
-    it from there.  The BFGS curvature pair leaves out the components held
-    at the clamp at the accepted point (projected Newton, Bertsekas 1982),
-    so a restart at the log-std clamp models the mean's curvature alone.
+    Trial steps start in the unit box of the convergence test's infinity
+    norm: the steepest step is the projected gradient scaled to norm 1, a
+    longer quasi-Newton step is scaled down to norm 1, and Armijo
+    backtracking halves either.  The BFGS pair leaves out the components
+    held at the clamp at the accepted point (projected Newton, Bertsekas
+    1982), so a restart at the clamp models the mean's curvature alone.
 
     Points, the clamp, the projection and the steps are lists of Python
     floats: on 2k entries a numpy call costs more than its arithmetic.
@@ -330,17 +331,16 @@ def _ascend(x, objective, opts):
             if g.dot(np.array(d)) <= 0.0:
                 d = None
             else:
-                # no trial step is longer than the steepest step's unit
-                scale = max(1.0, math.hypot(*d))
+                # no trial step leaves the steepest step's unit box
+                scale = max(1.0, _inf_norm(d))
                 d = [di / scale for di in d]
         if d is None:
-            # steepest step of unit length: on the way to the upper log-std
-            # clamp the objective is convex, no curvature pair is accepted
-            # there, and a step as short as the gradient would crawl to the
-            # clamp.  The loop runs only while |pg| >= grad_tol > 0, and
-            # hypot neither underflows nor overflows, so scale > 0.
-            scale = math.hypot(*pg)
-            d = [p / scale for p in pg]
+            # steepest step of infinity norm 1: on the way to the upper
+            # log-std clamp the objective is convex, no curvature pair is
+            # accepted there, and a step as short as the gradient would crawl
+            # to the clamp; from log-std 1 a step led by log-std lands on it.
+            # The loop runs only while norm >= grad_tol > 0.
+            d = [p / norm for p in pg]
         t = 1.0
         for _ in range(_MAX_BACKTRACKS):
             x_new = [

@@ -162,7 +162,7 @@ def _check_real(name, value, positive=True):
 def _as_vector(x, dim: int, what: str) -> np.ndarray:
     """``x`` as a finite float vector of length ``dim``, else ValueError."""
     v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.shape != (dim,) or not np.all(np.isfinite(v)):
+    if v.shape != (dim,) or not np.isfinite(v).all():
         raise ValueError(f"{what} must be a finite vector of length {dim}")
     return v
 

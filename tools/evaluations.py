@@ -14,6 +14,10 @@ the calls over the default 41x41 grid (cell i with seed i, as
 ``empkit landscape`` seeds it), and their mean and maximum per
 ``select_action`` step of a 50-step rollout from (pi, 0) (step t with
 seed t over the three default torques, as ``empkit rollout`` runs it).
+Off the pendulum, it prints the mean and maximum calls at one restart
+(default options) over 24 random bounded nets of 8 tanh/sine hidden
+units and output noise 0.05 / 0.1, net i from ``default_rng(1000 + i)``,
+each at 5 states uniform in [-1, 1]^2 drawn from the same generator.
 Its last line counts ``blahut_arimoto`` at its defaults on 600 random
 channels (from ``default_rng(0)``, sizes from ``integers(1, 7, size=2)``
 and Dirichlet rows with alpha cycling over 0.2 / 1 / 5): the draws that
@@ -31,7 +35,27 @@ from pathlib import Path
 import numpy as np
 
 ROLLOUT_STEPS = 50
+RANDOM_NETS = 24
+RANDOM_NET_STATES = 5
 RANDOM_CHANNELS = 600
+
+
+def random_net(rng):
+    """A bounded two-state, one-action net: 8 tanh/sine hidden units,
+    tanh next-state means and output noise standard deviations 0.05 / 0.1."""
+    from empkit import DynamicsModel, FeedforwardNet, LayerSpec
+
+    hidden = LayerSpec(
+        rng.normal(0.0, 2.0, (8, 3)),
+        rng.normal(size=8),
+        rng.choice(["tanh", "sine"], 8),
+    )
+    out = LayerSpec(
+        0.5 * rng.normal(size=(4, 8)),
+        np.r_[rng.normal(size=2), np.log([0.05, 0.1])],
+        ("tanh", "tanh", "identity", "identity"),
+    )
+    return DynamicsModel(FeedforwardNet((hidden, out)), 2, 1)
 
 
 def random_channel_evaluations():
@@ -54,6 +78,7 @@ def random_channel_evaluations():
 def evaluations():
     import empkit.empowerment
     from empkit import (
+        OptimizerOptions,
         PendulumState,
         build_pendulum_dynamics,
         maximize_empowerment,
@@ -71,9 +96,9 @@ def evaluations():
         calls.append(None)
         return mi_core(*args)
 
-    def count(state, seed):
+    def count(net, state, opts):
         calls.clear()
-        maximize_empowerment(model, state, cfg.optimizer_options(seed=seed))
+        maximize_empowerment(net, state, opts)
         return len(calls)
 
     def rollout(steps):
@@ -95,10 +120,20 @@ def evaluations():
         ac5, ba = [], []
         for i, u in enumerate(np.linspace(0.0, 1.0, 25)):
             state = [-np.pi * (1 - u), -8.0 * (1 - u)]
-            ac5.append(count(state, cfg.seed + i))
+            opts = cfg.optimizer_options(seed=cfg.seed + i)
+            ac5.append(count(model, state, opts))
             ba.append(oracle_empowerment(model, state).iterations)
-        grid = [count(s, cfg.seed + i) for i, s in enumerate(cfg.grid_states())]
+        grid = [
+            count(model, s, cfg.optimizer_options(seed=cfg.seed + i))
+            for i, s in enumerate(cfg.grid_states())
+        ]
         steps = rollout(ROLLOUT_STEPS)
+        nets = []
+        for i in range(RANDOM_NETS):
+            rng = np.random.default_rng(1000 + i)
+            net = random_net(rng)
+            for s in rng.uniform(-1.0, 1.0, (RANDOM_NET_STATES, 2)):
+                nets.append(count(net, s, OptimizerOptions()))
     finally:
         empkit.empowerment._mi_core = mi_core
 
@@ -114,6 +149,10 @@ def evaluations():
     lines.append(
         f"rollout {ROLLOUT_STEPS} steps calls per step "
         f"mean {steps.mean():.2f} max {steps.max()}"
+    )
+    lines.append(
+        f"random {RANDOM_NETS} nets x {RANDOM_NET_STATES} states calls "
+        f"mean {np.mean(nets):.2f} max {max(nets)}"
     )
     unconverged, counts = random_channel_evaluations()
     lines.append(
