@@ -129,8 +129,6 @@ class EmpowermentEstimate:
     converged: bool
     grad_norm: float
     restarts_failed: int
-    mc_samples: int
-    seed: int
 
 
 def _check_policy(model: DynamicsModel, policy: GaussianPolicy) -> None:
@@ -270,15 +268,10 @@ def mi_lower_bound_with_gradient(
     return _objective(model, state, policy, mc_samples, seed, True)
 
 
-def _inf_norm(v):
-    """max |v_i| over a list, NaN if an entry is NaN (as numpy's ``max``)."""
-    return math.nan if any(map(math.isnan, v)) else max(map(abs, v))
-
-
 def _ascend(x, objective, opts):
     """Projected BFGS ascent of one restart from ``x`` = (mean, log_std).
 
-    ``objective`` maps a trial point, a list, to its ``(value, gradient)``,
+    ``objective`` maps a trial point, an array, to its ``(value, gradient)``,
     the gradient over (mean, log_std) as an array.  Returns ``(best,
     iterations)``.  ``best`` is the last accepted iterate as ``(value, mean,
     log_std, grad_norm)``, ``grad_norm`` the infinity norm of its projected
@@ -291,62 +284,58 @@ def _ascend(x, objective, opts):
     backtracking halves either.  The BFGS pair leaves out the components
     held at the clamp at the accepted point (projected Newton, Bertsekas
     1982), so a restart at the clamp models the mean's curvature alone.
-
-    Points, the clamp, the projection and the steps are lists of Python
-    floats: on 2k entries a numpy call costs more than its arithmetic.
-    Inner products and the BFGS matrix products stay numpy calls, because
-    BLAS rounds a dot product differently from ``a0*b0 + a1*b1``; they use
-    ``ndarray.dot``, which gives the same bits as ``@`` at half the cost.
+    An accepted step's pair updates the model only when a next iteration
+    uses it, so an ascent that stops after one step forms none.
     """
-    k = len(x) // 2
-    lo = [-math.inf] * k + [LOG_STD_MIN] * k
-    hi = [math.inf] * k + [LOG_STD_MAX] * k
+    k = x.size // 2
+    lo = np.array([-math.inf] * k + [LOG_STD_MIN] * k)
+    hi = np.array([math.inf] * k + [LOG_STD_MAX] * k)
     eye = np.eye(2 * k)
 
     def evaluate(x):
         value, g = objective(x)
         if not math.isfinite(value):
             raise FloatingPointError("non-finite objective")
-        gl = g.tolist()
         # components pushing against an active clamp are held at the clamp
-        held = [
-            (xi <= l and gi < 0.0) or (xi >= h and gi > 0.0)
-            for xi, gi, l, h in zip(x, gl, lo, hi)
-        ]
-        pg = [0.0 if hd else gi for hd, gi in zip(held, gl)]
-        return value, g, pg, held, _inf_norm(pg)
+        held = ((x <= lo) & (g < 0.0)) | ((x >= hi) & (g > 0.0))
+        pg = np.where(held, 0.0, g)
+        return value, g, pg, held, np.abs(pg).max()
 
     f, g, pg, held, norm = evaluate(x)
     hess_inv = None  # None until a curvature pair is accepted
+    pair = None  # (s, y) of the last accepted step, not yet applied
     iters = 0
     while norm >= opts.grad_tol and iters < opts.max_iter:
+        if pair is not None:
+            (s, y), pair = pair, None
+            sy, yy = s.dot(y), y.dot(y)
+            if sy > _CURVATURE_TOL * math.sqrt(s.dot(s)) * math.sqrt(yy):
+                if hess_inv is None:
+                    hess_inv = eye * (sy / yy)
+                v = eye - s[:, None] * y / sy
+                hess_inv = v.dot(hess_inv).dot(v.T) + s[:, None] * s / sy
         d = None
         if hess_inv is not None:
-            d = [
-                0.0 if hd or (xi <= l and di < 0.0) or (xi >= h and di > 0.0) else di
-                for hd, di, xi, l, h in zip(held, hess_inv.dot(pg).tolist(), x, lo, hi)
-            ]
+            d = hess_inv.dot(pg)
+            d[held | ((x <= lo) & (d < 0.0)) | ((x >= hi) & (d > 0.0))] = 0.0
             # g.d = pg'H pg minus blocked terms pg_i (H pg)_i <= 0, so > 0 while
             # hess_inv is positive definite; guards an update rounding left indefinite
-            if g.dot(np.array(d)) <= 0.0:
+            if g.dot(d) <= 0.0:
                 d = None
             else:
                 # no trial step leaves the steepest step's unit box
-                scale = max(1.0, _inf_norm(d))
-                d = [di / scale for di in d]
+                d /= max(1.0, np.abs(d).max())
         if d is None:
             # steepest step of infinity norm 1: on the way to the upper
             # log-std clamp the objective is convex, no curvature pair is
             # accepted there, and a step as short as the gradient would crawl
             # to the clamp; from log-std 1 a step led by log-std lands on it.
             # The loop runs only while norm >= grad_tol > 0.
-            d = [p / norm for p in pg]
+            d = pg / norm
         t = 1.0
         for _ in range(_MAX_BACKTRACKS):
-            x_new = [
-                min(max(xi + t * di, l), h) for xi, di, l, h in zip(x, d, lo, hi)
-            ]
-            s = np.array([a - b for a, b in zip(x_new, x)])
+            x_new = np.minimum(np.maximum(x + t * d, lo), hi)
+            s = x_new - x
             gain = g.dot(s)
             if gain > 0.0:
                 f_new, g_new, pg_new, held_new, norm_new = evaluate(x_new)
@@ -361,17 +350,11 @@ def _ascend(x, objective, opts):
         iters += 1
         # a component held at the new point has s = 0: its gradient change
         # stays out of the pair, or it would bend the free components' model
-        y = np.where(held_new, 0.0, g - g_new)
-        sy, yy = s.dot(y), y.dot(y)
-        if sy > _CURVATURE_TOL * math.sqrt(s.dot(s)) * math.sqrt(yy):
-            if hess_inv is None:
-                hess_inv = eye * (sy / yy)
-            v = eye - s[:, None] * y / sy
-            hess_inv = v.dot(hess_inv).dot(v.T) + s[:, None] * s / sy
+        pair = s, np.where(held_new, 0.0, g - g_new)
         x, f, g, pg, held, norm = x_new, f_new, g_new, pg_new, held_new, norm_new
     # an accepted value is >= f + 1e-4 * gain with gain > 0, so values never
     # fall along the path and the last accepted iterate is the best
-    return (f, x[:k], x[k:], norm), iters
+    return (f, x[:k], x[k:], float(norm)), iters
 
 
 def maximize_empowerment(
@@ -400,7 +383,6 @@ def maximize_empowerment(
     nodes = _nodes(k, opts.mc_samples, opts.seed)
 
     def objective(x):
-        x = np.array(x)
         value, gmean, glog = _mi_core(model, state, x[:k], x[k:], nodes, True)
         return float(value), np.concatenate([gmean, glog])
 
@@ -412,12 +394,12 @@ def maximize_empowerment(
         for r in range(opts.restarts):
             # restart 0 starts at the canonical initial policy and draws
             # nothing; later ones kick the mean to reach other basins
-            mean = [0.0] * k
+            x = np.array([0.0] * k + [_START_LOG_STD] * k)
             if r > 0:
                 kick = np.random.default_rng(opts.seed + r).standard_normal(k)
-                mean = (0.5 * kick).tolist()
+                x[:k] = 0.5 * kick
             try:
-                result, iters = _ascend(mean + [_START_LOG_STD] * k, objective, opts)
+                result, iters = _ascend(x, objective, opts)
             except FloatingPointError:
                 failures += 1  # non-finite objective: the restart failed
                 continue
@@ -434,8 +416,6 @@ def maximize_empowerment(
         converged=bool(grad_norm < opts.grad_tol),
         grad_norm=grad_norm,
         restarts_failed=failures,
-        mc_samples=opts.mc_samples,
-        seed=opts.seed,
     )
 
 

@@ -79,13 +79,15 @@ class LayerSpec:
             raise ValueError("weights and bias must be finite")
         act = self.activation
         if isinstance(act, str):
-            tags = (act,) * w.shape[0]
-        else:
-            tags = tuple(act)
-            if len(tags) != w.shape[0]:
-                raise ValueError("per-unit activation list must match output dim")
+            act = (act,) * w.shape[0]
+        if not np.iterable(act):
+            raise ValueError("activation must be a tag or a sequence of per-unit tags")
+        tags = tuple(act)
+        if len(tags) != w.shape[0]:
+            raise ValueError("per-unit activation list must match output dim")
         for t in tags:
-            if t != "identity" and t not in _ACT:
+            # a tuple compares by ==, so an unhashable tag is unknown, not a TypeError
+            if t not in ("identity", *_ACT):
                 raise ValueError(f"unknown activation tag: {t!r}")
         # runs of equal adjacent non-identity tags: each is applied to a
         # basic slice (a view), one call per run
@@ -254,9 +256,11 @@ def _check_input(net, dim):
 
 
 def forward_point(net: FeedforwardNet, x) -> np.ndarray:
-    """Plain forward pass; accepts a vector or a batch of row vectors."""
-    h = np.asarray(x, dtype=float)
+    """Plain forward pass of a finite vector, scalar (one entry) or batch of rows."""
+    h = np.atleast_1d(np.asarray(x, dtype=float))
     _check_input(net, h.shape[-1])
+    if not np.isfinite(h).all():
+        raise ValueError("input must be finite")
     return _point_trace(net, h)[0]
 
 

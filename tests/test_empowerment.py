@@ -154,8 +154,9 @@ class TestOptimizerOptions:
         assert OptimizerOptions(grad_tol=np.float64(1e-3)).grad_tol == 1e-3
 
 
-def returned_projected_grad_norm(model, state, est):
-    """Infinity norm of the projected gradient at the returned policy.
+def returned_projected_grad_norm(model, state, est, opts):
+    """Infinity norm of the projected gradient at the policy returned at
+    ``opts``.
 
     The objective of a one-dimensional action draws no eps, so every
     restart ascends the same one, and it must reproduce the returned value
@@ -163,7 +164,7 @@ def returned_projected_grad_norm(model, state, est):
     active clamp are zeroed.
     """
     value, gmean, glog = mi_lower_bound_with_gradient(
-        model, state, est.policy, est.mc_samples, est.seed
+        model, state, est.policy, opts.mc_samples, opts.seed
     )
     assert value == est.value
     log_std = est.policy.action_log_std
@@ -700,7 +701,7 @@ class TestMaximizeEmpowerment:
         opts = OptimizerOptions(seed=3)
         est = maximize_empowerment(model, state, opts)
         assert est.converged and est.value > 0.0
-        assert returned_projected_grad_norm(model, state, est) < opts.grad_tol
+        assert returned_projected_grad_norm(model, state, est, opts) < opts.grad_tol
 
     @pytest.mark.parametrize("max_iter", [1, 200])
     @pytest.mark.parametrize("state", [[0.0, 0.0], [np.pi, 0.0], [-2.0, 5.0]])
@@ -709,7 +710,9 @@ class TestMaximizeEmpowerment:
         est = maximize_empowerment(PENDULUM, state, opts)
         assert type(est.grad_norm) is float
         assert est.converged == (est.grad_norm < opts.grad_tol)
-        assert est.grad_norm == returned_projected_grad_norm(PENDULUM, state, est)
+        assert est.grad_norm == returned_projected_grad_norm(
+            PENDULUM, state, est, opts
+        )
 
     def test_all_restarts_non_finite_raises(self):
         # log-std output of 1e300: the noise variance overflows to inf and
@@ -999,8 +1002,9 @@ AC5_STATES = [[-np.pi * (1 - u), -8.0 * (1 - u)] for u in np.linspace(0.0, 1.0, 
 
 
 class TestReferenceAscent:
-    """The ascent keeps its bookkeeping on Python floats; the numpy-array
-    ascent must give the same bits."""
+    """The ascent applies each curvature pair at the start of the iteration
+    that uses it; the eager ``reference_ascend``, which updates the model
+    right after each accepted step, must give the same bits."""
 
     @pytest.mark.parametrize("i", range(len(AC5_STATES)))
     def test_ac5_state(self, i):
@@ -1025,16 +1029,16 @@ class TestReferenceAscent:
 
 
 def ascent_trials(x, objective):
-    """Run ``_ascend`` from ``x`` on ``objective``, called with each trial
-    point as an array; returns the points it was called at, in order, and
-    ``_ascend``'s result."""
+    """Run ``_ascend`` from ``x``, as an array, on ``objective``, called with
+    each trial point; returns the points it was called at as lists, in
+    order, and ``_ascend``'s result."""
     trials = []
 
     def recorded(x):
-        trials.append(list(x))
-        return objective(np.array(x))
+        trials.append(x.tolist())
+        return objective(x)
 
-    return trials, _ascend(x, recorded, OptimizerOptions())
+    return trials, _ascend(np.array(x, dtype=float), recorded, OptimizerOptions())
 
 
 class TestAscentSteps:

@@ -24,9 +24,12 @@ def test_fingerprint_tool_prints_every_line():
     # 25 AC-5 states, 25 grid cells, 3 restart runs, 40 probes, one
     # select_action line, five point-evaluation lines on each of two nets,
     # two lines per oracle state, then 10 two-action probes, one two-action
-    # estimate and 10 moment probes on the two-action net
-    assert len(lines) == 25 + 25 + 3 + 40 + 1 + 2 * 5 + 2 * 25 + 10 + 1 + 10
+    # estimate and 10 moment probes on the two-action net, and one hash
+    # line per random net
+    assert len(lines) == 25 + 25 + 3 + 40 + 1 + 2 * 5 + 2 * 25 + 10 + 1 + 10 + 24
     assert lines[0].startswith("ac5[0] ")
-    assert lines[-22].startswith("oracle[24] capacity ")
-    assert lines[-11].startswith("mixed_estimate ")
-    assert lines[-1].startswith("mixed_moments[9] ")
+    assert lines[-46].startswith("oracle[24] capacity ")
+    assert lines[-35].startswith("mixed_estimate ")
+    assert lines[-25].startswith("mixed_moments[9] ")
+    assert lines[-24].startswith("random_net[0] ")
+    assert lines[-1].startswith("random_net[23] ")

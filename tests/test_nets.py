@@ -47,9 +47,15 @@ class TestLayerSpec:
         with pytest.raises(ValueError, match="weights and bias must be finite"):
             LayerSpec(w, b, layer.activation)
 
-    def test_unknown_activation_rejected(self):
-        with pytest.raises(ValueError):
-            LayerSpec(np.eye(2), np.zeros(2), "relu")
+    @pytest.mark.parametrize("activation", ["relu", [["tanh"]]])
+    def test_unknown_activation_rejected(self, activation):
+        with pytest.raises(ValueError, match="unknown activation tag"):
+            LayerSpec([[1.0]], [0.0], activation)
+
+    @pytest.mark.parametrize("activation", [None, 5, 1.5])
+    def test_activation_neither_tag_nor_sequence_rejected(self, activation):
+        with pytest.raises(ValueError, match="activation must be a tag or a sequence"):
+            LayerSpec([[1.0]], [0.0], activation)
 
     def test_caller_arrays_stay_writable_and_unshared(self):
         w, b = np.eye(2), np.zeros(2)
@@ -130,6 +136,18 @@ class TestForwardPoint:
     def test_affine_arithmetic(self):
         net = FeedforwardNet((LayerSpec([[2.0]], [1.0]),))
         np.testing.assert_array_equal(forward_point(net, [3.0]), [7.0])
+
+    def test_scalar_is_a_one_entry_vector(self):
+        net = FeedforwardNet((LayerSpec([[2.0]], [1.0]),))
+        np.testing.assert_array_equal(forward_point(net, 1.0), [3.0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_non_finite_input_rejected(self, value, batch):
+        net = FeedforwardNet((LayerSpec(np.eye(2), np.zeros(2), "tanh"),))
+        x = np.array([[0.0, 1.0], [0.5, value]] if batch else [value, 0.0])
+        with pytest.raises(ValueError, match="input must be finite"):
+            forward_point(net, x)
 
     @pytest.mark.parametrize(
         "forward, x",

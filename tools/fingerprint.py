@@ -27,7 +27,13 @@ package) and prints ``float.hex`` of a fixed set of outputs, one per line:
   one ``maximize_empowerment`` with 3 restarts;
 * ``forward_moments`` on the mixed-tag net at 10 seeded input Gaussians,
   the first of zero variance, so that its output variances come from the
-  variance floor alone.
+  variance floor alone;
+* ``maximize_empowerment`` off the pendulum, where the BFGS ascent runs
+  for up to tens of iterations: for each of the 24 random nets of
+  ``tools/evaluations.py`` (net i from ``random_net(default_rng(1000 +
+  i))``, at the 5 states it draws next), the sha256 of the estimate lines
+  (with ``grad_norm`` and ``restarts_failed``) at ``restarts`` 1 and 4
+  with ``seed=i``.
 
 Two source trees compute the same numbers bit for bit exactly when their
 outputs are byte-identical:
@@ -44,6 +50,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from evaluations import RANDOM_NET_STATES, RANDOM_NETS, random_net
 
 
 def _hex(x):
@@ -170,6 +177,18 @@ def fingerprint():
         var = rng.uniform(0.0, 0.5, 4) if i else np.zeros(4)
         fm = forward_moments(mixed.net, DiagonalGaussian(rng.normal(0.0, 1.5, 4), var))
         lines.append(f"mixed_moments[{i}] {_hex(fm.mean)} {_hex(fm.variance)}")
+
+    for i in range(RANDOM_NETS):
+        rng = np.random.default_rng(1000 + i)
+        net = random_net(rng)
+        digest = hashlib.sha256()
+        for s in rng.uniform(-1.0, 1.0, (RANDOM_NET_STATES, 2)):
+            for restarts in (1, 4):
+                opts = OptimizerOptions(restarts=restarts, seed=i)
+                est = maximize_empowerment(net, s, opts)
+                tail = f"{_hex(est.grad_norm)} {est.restarts_failed}"
+                digest.update(f"{_estimate('', est)} | {tail}\n".encode())
+        lines.append(f"random_net[{i}] {digest.hexdigest()}")
     return lines
 
 
