@@ -4,12 +4,10 @@ objective over a per-state Gaussian action distribution.
 The objective averages closed-form KL divergences from the conditional
 next-state Gaussians at a set of weighted node actions of the policy to
 q, the moment match of their mixture (exact in its mean and variance).
-``_nodes`` alone chooses them: for a one-dimensional action the K = 20
-Gauss-Hermite points, for a multi-dimensional one a fixed eps draw of
-equal weights from the seed (common random numbers), shared by every
-restart.  Either objective is deterministic and smooth, so a projected
-quasi-Newton (BFGS) ascent with analytic gradients applies; the gradients
-are verified against central finite differences in the test suite.
+``_nodes`` alone chooses them, a tensor-product Gauss-Hermite rule, so the
+objective is deterministic and smooth and a projected quasi-Newton (BFGS)
+ascent with analytic gradients applies; the gradients are verified against
+central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -47,11 +45,9 @@ _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 30
 _CURVATURE_TOL = 1e-10
 
-# Probabilists' Gauss-Hermite rule of K = 20 points (numpy's hermegauss(20),
-# weights divided by their sum), stored so that importing the package
-# loads no numpy.polynomial; the rule is symmetric, and the positive half
-# is mirrored.  E_{x~N(0,1)} f(x) = sum_k w_k f(x_k), exact for polynomials
-# of degree < 40.
+# Probabilists' Gauss-Hermite rule of 20 points: numpy's hermegauss(20),
+# weights divided by their sum, stored so that an estimate for k <= 2 loads
+# no numpy.polynomial; the rule is symmetric, and the positive half is mirrored
 _GH_HALF = np.array([
     [0.3469641570813559, 0.2607930634495548],
     [1.042945348802751, 0.16173933398400003],
@@ -98,6 +94,9 @@ class GaussianPolicy:
 
 @dataclass(frozen=True)
 class OptimizerOptions:
+    """Settings of ``maximize_empowerment``; ``seed`` places restart kicks.
+    ``mc_samples`` is validated, and only perfbench/workloads.py reads it."""
+
     max_iter: int = 200
     grad_tol: float = 1e-4
     restarts: int = 1
@@ -141,36 +140,36 @@ def marginal_transition(
 ) -> DiagonalGaussian:
     """p(x'|x) with the action marginalized out, as the objective forms it:
     the mean and variance of the mixture of the conditionals at the
-    policy's node actions.  For a one-dimensional action the nodes are the
-    20 Gauss-Hermite points; otherwise the eps draw of the default options,
-    ``OptimizerOptions.mc_samples`` rows from seed 0, so this is the q of
-    ``mi_lower_bound(model, state, policy, 32, 0)``.
+    policy's node actions (``_nodes``), so the q of ``mi_lower_bound``.
     """
     state = _as_vector(state, model.state_dim, "state")
     _check_policy(model, policy)
-    nodes = _nodes(policy.dim, OptimizerOptions.mc_samples, 0)
     M, V = _node_moments(
-        model, state, policy.action_mean, policy.action_log_std, nodes
+        model, state, policy.action_mean, policy.action_log_std, _nodes(policy.dim)
     )[:2]
     return DiagonalGaussian(M, V)
 
 
-def _nodes(k, mc_samples, seed):
+def _nodes(k):
     """The objective's node set ``(x, w)`` for a k-dimensional action: the
-    one place that tells the two rules apart and draws eps.
+    tensor product of a probabilists' Gauss-Hermite rule of K points, x
+    (K^k, k) and product weights w (K^k, 1).  K = 20, the stored rule, while
+    20^k <= 400 (k <= 2), else the largest K with K^k <= 400, at least 2."""
+    n = 20
+    while n > 2 and n**k > 400:
+        n -= 1
+    x1, w1 = _GH_NODES, _GH_WEIGHTS
+    if n < 20:
+        from numpy.polynomial.hermite_e import hermegauss
 
-    For k = 1, the Gauss-Hermite points (20, 1) and weights (20, 1);
-    ``mc_samples`` and ``seed`` are not read.  Otherwise ``mc_samples``
-    eps rows (n, k) from ``seed``, each of weight 1/n.
-    """
-    if k == 1:
-        return _GH_NODES[:, None], _GH_WEIGHTS[:, None]
-    # with one eps row the mixture is that row's conditional: the objective
-    # is identically 0 and an ascent would stop at its start
-    if mc_samples < 2:
-        raise ValueError("mc_samples must be >= 2 for a multi-dimensional action")
-    eps = np.random.default_rng(seed).standard_normal((mc_samples, k))
-    return eps, 1.0 / mc_samples
+        x1, w1 = hermegauss(n)
+        w1 /= w1.sum()
+    # each further dimension repeats every row once per point of the rule
+    x, w = x1[:, None], w1[:, None]
+    for _ in range(k - 1):
+        x = np.column_stack([np.repeat(x, n, axis=0), np.tile(x1, len(x))])
+        w = (w * w1).reshape(-1, 1)
+    return x, w
 
 
 def _node_moments(model, state, mean, log_std, nodes):
@@ -215,13 +214,13 @@ def _mi_core(model, state, mean, log_std, nodes, want_grad):
 
 
 def _objective(model, state, policy, mc_samples, seed, want_grad):
-    """Validated inputs, the seed's node set and one ``_mi_core`` call: the
-    value, with the gradient if ``want_grad``."""
+    """Validated inputs and one ``_mi_core`` call: the value, with the
+    gradient if ``want_grad``; ``mc_samples`` and ``seed`` are only checked."""
     state = _as_vector(state, model.state_dim, "state")
     _check_policy(model, policy)
     _check_int("mc_samples", mc_samples)
     _check_int("seed", seed, minimum=0)
-    nodes = _nodes(model.action_dim, mc_samples, seed)
+    nodes = _nodes(model.action_dim)
     value, gmean, glog = _mi_core(
         model, state, policy.action_mean, policy.action_log_std, nodes, want_grad
     )
@@ -239,12 +238,8 @@ def mi_lower_bound(
 ) -> float:
     """Mutual-information objective E_a KL(p(x'|x,a) || q) of ``policy``.
 
-    The expectation is over the node actions of ``_nodes(k, mc_samples,
-    seed)`` and q is their mixture's moments.  For a one-dimensional action
-    the nodes are the 20-point Gauss-Hermite rule, and ``mc_samples`` and
-    ``seed`` are validated and have no effect.  Otherwise they are
-    ``mc_samples`` >= 2 eps rows drawn from ``seed``, of equal weight, so
-    the value is deterministic per seed.
+    The expectation is over the node actions of ``_nodes`` and q is their
+    mixture's moments; ``mc_samples`` and ``seed`` are validated and unread.
 
     Not a lower bound: for any q the objective is
     I_pi(A; X') + KL(p_pi(x'|x) || q) >= I_pi(A; X').  The name and the
@@ -262,9 +257,9 @@ def mi_lower_bound_with_gradient(
     seed: int,
 ):
     """Objective plus analytic gradient wrt (action_mean, action_log_std).
-    As with ``mi_lower_bound``, ``mc_samples`` and ``seed`` have no effect
-    for a one-dimensional action, the objective is not a lower bound on
-    I_pi, and the name stays because perfbench/workloads.py calls it."""
+    As with ``mi_lower_bound``, ``mc_samples`` and ``seed`` have no effect,
+    the objective is not a lower bound on I_pi, and the name stays because
+    perfbench/workloads.py calls it."""
     return _objective(model, state, policy, mc_samples, seed, True)
 
 
@@ -362,25 +357,24 @@ def maximize_empowerment(
 ) -> EmpowermentEstimate:
     """Ascend the MI objective with projected BFGS; best result over restarts.
 
-    Every restart ascends one objective, deterministic and smooth with
-    analytic gradients (see ``_mi_core``), on the nodes of ``_nodes(k,
-    opts.mc_samples, opts.seed)`` (k > 1 needs ``mc_samples`` >= 2): the
-    value returned is ``mi_lower_bound`` of the policy returned at those
-    options.  Restart 0 starts at N(0, e^2) (log-std ``_START_LOG_STD``),
-    restart r > 0 at a mean kicked by a draw from seed ``opts.seed + r``.
-    The ascent is a quasi-Newton (BFGS) iteration over (action_mean,
-    action_log_std) with Armijo backtracking, log-std clipped to
-    ``[LOG_STD_MIN, LOG_STD_MAX]``; one iteration may take several objective
-    evaluations.  The restarts run one after another.  Each keeps its last
-    accepted iterate, its best; a non-finite objective fails its restart.
-    ``iterations`` is the quasi-Newton iteration count of the winning
-    restart; ``grad_norm`` is the infinity norm of the projected gradient
-    (log-std components pushing against an active clamp are zeroed) at the
-    returned policy, and ``converged`` means it is below ``grad_tol``.
+    Every restart ascends one deterministic objective, ``_mi_core`` on the
+    nodes of ``_nodes(k)``, so the value returned is ``mi_lower_bound`` of
+    the policy returned; ``opts.mc_samples`` is not read.  Restart 0 starts
+    at N(0, e^2) (log-std ``_START_LOG_STD``), restart r > 0 at a mean
+    kicked by a draw from seed ``opts.seed + r``.  The ascent is a
+    quasi-Newton (BFGS) iteration over (action_mean, action_log_std) with
+    Armijo backtracking, log-std clipped to ``[LOG_STD_MIN, LOG_STD_MAX]``;
+    one iteration may take several objective evaluations.  The restarts
+    run one after another.  Each keeps its last accepted iterate, its best;
+    a non-finite objective fails its restart.  ``iterations`` is the
+    quasi-Newton iteration count of the winning restart; ``grad_norm`` is
+    the infinity norm of the projected gradient (log-std components pushing
+    against an active clamp are zeroed) at the returned policy, and
+    ``converged`` means it is below ``grad_tol``.
     """
     state = _as_vector(state, model.state_dim, "state")
     k = model.action_dim
-    nodes = _nodes(k, opts.mc_samples, opts.seed)
+    nodes = _nodes(k)
 
     def objective(x):
         value, gmean, glog = _mi_core(model, state, x[:k], x[k:], nodes, True)

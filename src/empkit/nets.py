@@ -125,8 +125,8 @@ class FeedforwardNet:
 
     def __post_init__(self):
         layers = tuple(self.layers)
-        if not layers:
-            raise ValueError("network needs at least one layer")
+        if not layers or not all(isinstance(layer, LayerSpec) for layer in layers):
+            raise ValueError("network needs at least one layer, each a LayerSpec")
         for a, b in zip(layers, layers[1:]):
             if a.out_dim != b.in_dim:
                 raise ValueError(
@@ -202,6 +202,8 @@ class DynamicsModel:
     action_dim: int
 
     def __post_init__(self):
+        if not isinstance(self.net, FeedforwardNet):
+            raise ValueError("net must be a FeedforwardNet")
         _check_int("state_dim", self.state_dim)
         _check_int("action_dim", self.action_dim)
         if self.net.in_dim != self.state_dim + self.action_dim:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import DynamicsModel, FeedforwardNet, LayerSpec, _check_real
+from .nets import DynamicsModel, FeedforwardNet, LayerSpec, _as_vector, _check_real
 
 __all__ = [
     "VEL_LIMIT",
@@ -105,7 +105,8 @@ def pendulum_step_smooth(state, action: float, p: PendulumParams) -> np.ndarray:
     ``action`` is the raw network input; the applied torque is
     max_torque * tanh(action).  Returns the next-state mean vector.
     """
-    angle, velocity = np.asarray(state, dtype=float)
+    angle, velocity = _as_vector(state, 2, "state")
+    _check_real("action", action, positive=False)
     u = p.max_torque * np.tanh(action)
     vel_raw = velocity + p.dt * _accel(angle, velocity, u, p)
     ang_raw = angle + p.dt * vel_raw

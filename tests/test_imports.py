@@ -1,8 +1,9 @@
 """scipy and numpy.polynomial stay out of the estimator's path.
 
-``import empkit`` and the ``landscape`` and ``rollout`` commands need numpy
-only, and not numpy.polynomial: the estimator's Gauss-Hermite rule is
-stored, not computed.  scipy.special is imported by the oracle's binning
+``import empkit``, the ``landscape`` and ``rollout`` commands and an
+estimate with a two-dimensional action need numpy only, and not
+numpy.polynomial: the estimator's 20-point Gauss-Hermite rule, which the
+tensor rule of one or two action dimensions uses, is stored, not computed.  scipy.special is imported by the oracle's binning
 step on first use, and ``compare-oracle`` needs no scipy.stats.  The checks
 run in a fresh interpreter, because the test process itself has long since
 imported scipy.
@@ -21,7 +22,15 @@ import json, sys
 out = sys.argv[1]
 import empkit, empkit.cli
 from empkit import PendulumParams, build_pendulum_dynamics, oracle_empowerment
+from empkit import DynamicsModel, FeedforwardNet, LayerSpec, OptimizerOptions
 model = build_pendulum_dynamics(PendulumParams())
+# x' = x + J a + noise with two actions
+layer = LayerSpec(
+    [[1, 0, 1, 0.5], [0, 1, 0.3, -0.7], [0, 0, 0, 0], [0, 0, 0, 0]],
+    [0, 0, -1.2, -1.6],
+)
+two = DynamicsModel(FeedforwardNet((layer,)), state_dim=2, action_dim=2)
+assert empkit.maximize_empowerment(two, [0, 0], OptimizerOptions()).value > 0
 cfg = out + "/config.json"
 with open(cfg, "w") as fh:
     json.dump({"angle_count": 3, "velocity_count": 3, "out_dir": out}, fh)

@@ -110,6 +110,13 @@ class TestLayerSpec:
         with pytest.raises(ValueError, match="at least one layer"):
             FeedforwardNet(())
 
+    @pytest.mark.parametrize("entry", [[1], None, "tanh"])
+    def test_entry_that_is_not_a_layer_rejected(self, entry):
+        layer = LayerSpec(np.ones((2, 2)), np.zeros(2))
+        for layers in ((entry,), (layer, entry)):
+            with pytest.raises(ValueError, match="each a LayerSpec"):
+                FeedforwardNet(layers)
+
 
 class TestDynamicsModel:
     @pytest.mark.parametrize(
@@ -125,6 +132,13 @@ class TestDynamicsModel:
         net = FeedforwardNet((layer,))
         with pytest.raises(ValueError, match=message):
             DynamicsModel(net, state_dim=2, action_dim=1)
+
+    def test_net_must_be_a_feedforward_net(self):
+        # "x" raised AttributeError on its missing in_dim
+        layer = LayerSpec(np.ones((2, 2)), np.zeros(2))
+        for net in ("x", None, layer, (layer,)):
+            with pytest.raises(ValueError, match="net must be a FeedforwardNet"):
+                DynamicsModel(net, 1, 1)
 
 
 class TestForwardPoint:

@@ -231,6 +231,17 @@ class TestSmoothStep:
             minus = pendulum_step_smooth(-state, -a, p)
             np.testing.assert_allclose(minus, -plus, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "state",
+        [[0.0, 0.0, 0.0], [0.0], [np.nan, 0.0], [0.0, np.inf]],
+        ids=["long", "short", "nan", "inf"],
+    )
+    def test_bad_state_rejected(self, state):
+        # a 3-vector raised "too many values to unpack", a NaN passed through
+        message = "state must be a finite vector of length 2"
+        with pytest.raises(ValueError, match=message):
+            pendulum_step_smooth(state, 0.0, PendulumParams())
+
 
 class TestDynamicsNet:
     def test_net_mean_equals_smooth_step(self):

@@ -24,6 +24,7 @@ from empkit import (
     mi_lower_bound,
     oracle_empowerment,
     pendulum_step,
+    pendulum_step_smooth,
 )
 from empkit.config import RunConfig
 
@@ -129,6 +130,10 @@ BOUNDARIES = {
         "pendulum_step.torque": (
             "torque",
             lambda v: pendulum_step(PendulumState(0.0, 0.0), v, PendulumParams()),
+        ),
+        "pendulum_step_smooth.action": (
+            "action",
+            lambda v: pendulum_step_smooth([0.0, 0.0], v, PendulumParams()),
         ),
         **{
             f"RunConfig.{n}": (n, _kw(RunConfig, n))

@@ -23,8 +23,9 @@ package) and prints ``float.hex`` of a fixed set of outputs, one per line:
   count on one line, capacity and gap on the next;
 * the two-action estimator on the mixed-tag net: ``mi_lower_bound``,
   ``mi_lower_bound_with_gradient`` and ``marginal_transition`` at 10
-  seeded random states, policies, Monte Carlo draw counts and seeds, and
-  one ``maximize_empowerment`` with 3 restarts;
+  seeded random states and policies (the draw counts and seeds passed
+  vary but have no effect: the objective's nodes are a tensor
+  Gauss-Hermite rule), and one ``maximize_empowerment`` with 3 restarts;
 * ``forward_moments`` on the mixed-tag net at 10 seeded input Gaussians,
   the first of zero variance, so that its output variances come from the
   variance floor alone;
