@@ -8,7 +8,7 @@ in nats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,8 @@ _PAD_SIGMA = 6.0
 # than this fraction of it (8 ulps)
 _RELAX_GROWTH = 1.5
 _RELAX_MARGIN = 8 * np.finfo(float).eps
+# evaluations per action that the oracle's staged solve may spend
+_STAGE_BUDGET = 0.5
 
 
 def _row_kron(left, right):
@@ -118,6 +120,29 @@ class DiscreteChannel:
         return self.left.shape[1] * self.right.shape[1]
 
 
+def _divergence_step(left, right):
+    """``blahut_arimoto``'s divergence step: ``bounds`` and the m > 0 it fills."""
+    neg_entropy = _plogp(left) * right.sum(axis=1) + left.sum(axis=1) * _plogp(right)
+    pl = np.empty_like(left)
+    m = np.empty((left.shape[1], right.shape[1]))
+    m_pos = np.empty(m.shape, dtype=bool)
+    rl = np.empty_like(left)
+
+    def bounds(p):
+        """D, I(p) and max D at p."""
+        np.multiply(p[:, None], left, out=pl)
+        np.matmul(pl.T, right, out=m)
+        # ln m in place, 0 where m == 0: such bins carry no probability
+        # anywhere p > 0, and a finite value keeps 0 * ln m at 0
+        np.greater(m, 0.0, out=m_pos)
+        np.log(m, out=m, where=m_pos)
+        np.matmul(right, m.T, out=rl)
+        D = neg_entropy - np.einsum("ai,ai->a", left, rl)
+        return D, float(p @ D), float(D.max())
+
+    return bounds, m_pos
+
+
 @dataclass(frozen=True)
 class CapacityResult:
     capacity: float
@@ -130,8 +155,9 @@ class CapacityResult:
     # ``capacity``; below ``tol`` exactly when ``converged``
     gap: float
     # per evaluation, the mutual information of the current iterate
-    # (repeated after a discarded trial): nondecreasing up to rounding, one
-    # entry per iteration, the last one ``capacity`` (before clipping at 0)
+    # (repeated after a discarded trial): nondecreasing up to rounding, the
+    # last one ``capacity`` (before clipping at 0); from the oracle's staged
+    # solve, those of its last sub-run and then of its certificate
     lower_bounds: tuple = ()
 
 
@@ -193,25 +219,7 @@ def blahut_arimoto(
     """
     _check_real("tol", tol)
     _check_int("max_iter", max_iter)
-    left, right = ch.left, ch.right
-    neg_entropy = _plogp(left) * right.sum(axis=1) + left.sum(axis=1) * _plogp(right)
-    pl = np.empty_like(left)
-    m = np.empty((left.shape[1], right.shape[1]))
-    m_pos = np.empty(m.shape, dtype=bool)
-    rl = np.empty_like(left)
-
-    def bounds(p):
-        """D, I(p) and max D at p."""
-        np.multiply(p[:, None], left, out=pl)
-        np.matmul(pl.T, right, out=m)
-        # ln m in place, 0 where m == 0: such bins carry no probability
-        # anywhere p > 0, and a finite value keeps 0 * ln m at 0
-        np.greater(m, 0.0, out=m_pos)
-        np.log(m, out=m, where=m_pos)
-        np.matmul(right, m.T, out=rl)
-        D = neg_entropy - np.einsum("ai,ai->a", left, rl)
-        return D, float(p @ D), float(D.max())
-
+    bounds, _ = _divergence_step(ch.left, ch.right)
     p = np.full(ch.n_actions, 1.0 / ch.n_actions)
     D, lower, upper = bounds(p)
     lower_bounds = [lower]
@@ -239,14 +247,18 @@ def blahut_arimoto(
         if take:
             p, D, lower, upper = q, D_q, lower_q, upper_q
         lower_bounds.append(lower)
-    gap = upper - lower
+    return _result(p, lower, upper, tol, len(lower_bounds), lower_bounds)
+
+
+def _result(p, lower, upper, tol, iterations, lower_bounds) -> CapacityResult:
+    """The result for input p, read-only, with Arimoto's bounds lower, upper."""
     p.setflags(write=False)
     return CapacityResult(
         capacity=max(lower, 0.0),
         input_distribution=p,
-        iterations=len(lower_bounds),
-        converged=bool(gap < tol),
-        gap=gap,
+        iterations=iterations,
+        converged=bool(upper - lower < tol),
+        gap=upper - lower,
         lower_bounds=tuple(lower_bounds),
     )
 
@@ -323,4 +335,36 @@ def oracle_empowerment(
     lo, hi = conds.mean.min(axis=0) - pad, conds.mean.max(axis=0) + pad
     edges = np.linspace(lo, hi, bins + 1, axis=1)
     ch = discretize_dynamics(conds, edges)
-    return blahut_arimoto(ch, tol=tol, max_iter=max_iter)
+    return _staged_capacity(ch, tol, max_iter)
+
+
+def _staged_capacity(ch: DiscreteChannel, tol: float, max_iter: int) -> CapacityResult:
+    """``blahut_arimoto`` on a growing support, certified on all actions by
+    Arimoto's bounds.  Each stage adds the actions of largest D off the
+    support, as many as it holds and at least one.  Past ``_STAGE_BUDGET *
+    n`` evaluations, or where a lifted input leaves a reachable bin without
+    mass (a D that is unbounded, not the finite one ``bounds`` gives), the
+    whole channel goes to ``blahut_arimoto``.  ``iterations`` counts all."""
+    n = ch.n_actions
+    bounds, m_pos = _divergence_step(ch.left, ch.right)
+    p = np.full(n, 1.0 / n)
+    D, lower, upper = bounds(p)
+    spent, lower_bounds, reachable = 1, (lower,), np.count_nonzero(m_pos)
+    budget = min(int(_STAGE_BUDGET * n), max_iter)
+    support = np.zeros(n, dtype=bool)
+    while upper - lower >= tol and spent < max_iter:
+        size = np.count_nonzero(support)
+        if upper == np.inf or spent + 2 > budget or 2 * size >= n:
+            res = blahut_arimoto(ch, tol=tol, max_iter=max_iter - spent)
+            return replace(res, iterations=res.iterations + spent)
+        ranked = np.argsort(-np.where(support, -np.inf, D), kind="stable")
+        support[ranked[: max(size, 1)]] = True
+        sub = DiscreteChannel.from_factors(ch.left[support], ch.right[support])
+        res = blahut_arimoto(sub, tol=tol, max_iter=budget - spent - 1)
+        p = np.zeros(n)
+        p[support] = res.input_distribution
+        D, lower, upper = bounds(p)
+        upper = upper if np.count_nonzero(m_pos) == reachable else np.inf
+        spent += res.iterations + 1
+        lower_bounds = res.lower_bounds + (lower,)
+    return _result(p, lower, upper, tol, spent, lower_bounds)

@@ -124,7 +124,7 @@ class FeedforwardNet:
     layers: tuple
 
     def __post_init__(self):
-        layers = tuple(self.layers)
+        layers = tuple(self.layers) if np.iterable(self.layers) else ()
         if not layers or not all(isinstance(layer, LayerSpec) for layer in layers):
             raise ValueError("network needs at least one layer, each a LayerSpec")
         for a, b in zip(layers, layers[1:]):

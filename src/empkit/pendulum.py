@@ -93,6 +93,8 @@ def _accel(angle, velocity, torque, p: PendulumParams) -> float:
 def pendulum_step(s: PendulumState, torque: float, p: PendulumParams) -> PendulumState:
     """One semi-implicit Euler step with hard torque clipping and wrap/clamp."""
     _check_real("torque", torque, positive=False)
+    if not isinstance(p, PendulumParams):
+        raise ValueError("p must be a PendulumParams")
     u = float(np.clip(torque, -p.max_torque, p.max_torque))
     vel = s.angular_velocity + p.dt * _accel(s.angle, s.angular_velocity, u, p)
     ang = s.angle + p.dt * vel
@@ -107,6 +109,8 @@ def pendulum_step_smooth(state, action: float, p: PendulumParams) -> np.ndarray:
     """
     angle, velocity = _as_vector(state, 2, "state")
     _check_real("action", action, positive=False)
+    if not isinstance(p, PendulumParams):
+        raise ValueError("p must be a PendulumParams")
     u = p.max_torque * np.tanh(action)
     vel_raw = velocity + p.dt * _accel(angle, velocity, u, p)
     ang_raw = angle + p.dt * vel_raw
@@ -122,6 +126,8 @@ def build_pendulum_dynamics(p: PendulumParams) -> DynamicsModel:
     layer 2 forms the scaled raw next state and saturates it, layer 3
     rescales.  The log-std outputs are constant at ln(noise_std).
     """
+    if not isinstance(p, PendulumParams):
+        raise ValueError("p must be a PendulumParams")
     ml2 = p.mass * p.length**2
     alpha = p.gravity / p.length
     gamma = p.friction / ml2

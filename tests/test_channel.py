@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -972,13 +973,17 @@ def binned_policy(policy, acts):
     return np.diff(np.concatenate([[0.0], cdf, [1.0]]))
 
 
-def policy_information(P, p):
-    """I(p) = sum_a p_a D_a from one Blahut-Arimoto divergence step."""
+def arimoto_bounds(P, p):
+    """I(p) = sum_a p_a D_a and max_a D_a from one Blahut-Arimoto divergence
+    step on the dense matrix P.  D_a is infinite where row a reaches an
+    output bin that p leaves without mass, so I sums over p > 0 only."""
     m = p @ P
     pos = P > 0
-    ratio = np.where(pos, P, 1.0) / np.where(pos, m, 1.0)
-    D = np.einsum("as,as->a", P, np.log(ratio))
-    return float(p @ D)
+    with np.errstate(divide="ignore"):
+        log_ratio = np.log(np.where(pos, P, 1.0)) - np.log(np.where(pos, m, 1.0))
+    D = np.einsum("as,as->a", P, log_ratio)
+    used = p > 0
+    return float(p[used] @ D[used]), float(D.max())
 
 
 class TestCertifiedFloor:
@@ -996,10 +1001,106 @@ class TestCertifiedFloor:
             res = oracle_empowerment(model, state, n_actions=64, bins=41)
             assert res.converged
             P = discretize_dynamics(model.conditional(state, acts), edges).transition
-            floor = policy_information(P, binned_policy(est.policy, np.ravel(acts)))
+            floor, _ = arimoto_bounds(P, binned_policy(est.policy, np.ravel(acts)))
             assert floor <= res.capacity + res.gap
             assert floor >= 0.85 * res.capacity
             assert est.value >= floor
             floors.append(floor)
             capacities.append(res.capacity)
         assert spearmanr(floors, capacities).statistic >= 0.99
+
+
+def recorded_oracle(monkeypatch, model, state, **kwargs):
+    """``oracle_empowerment``'s result, the channel that it discretized and
+    the results of its ``blahut_arimoto`` calls, in order."""
+    channels, runs = [], []
+    discretize_ = empkit.channel.discretize_dynamics
+    ba_ = empkit.channel.blahut_arimoto
+
+    def recording_discretize(*args):
+        channels.append(discretize_(*args))
+        return channels[-1]
+
+    def recording_ba(*args, **kw):
+        runs.append(ba_(*args, **kw))
+        return runs[-1]
+
+    monkeypatch.setattr(empkit.channel, "discretize_dynamics", recording_discretize)
+    monkeypatch.setattr(empkit.channel, "blahut_arimoto", recording_ba)
+    res = oracle_empowerment(model, state, **kwargs)
+    [ch] = channels
+    return res, ch, runs
+
+
+def random_net_state(monkeypatch, net, state):
+    """Random net ``net`` of ``tools/evaluations.py`` and its state ``state``."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    from evaluations import RANDOM_NET_STATES, random_net
+
+    rng = np.random.default_rng(1000 + net)
+    model = random_net(rng)
+    return model, rng.uniform(-1.0, 1.0, (RANDOM_NET_STATES, 2))[state]
+
+
+class TestStagedSolve:
+    """The oracle runs Blahut-Arimoto on a growing support of actions and
+    certifies each answer on the whole channel; past its budget, or where
+    a lifted input leaves an output bin without mass, it runs
+    ``blahut_arimoto`` on the whole channel."""
+
+    def test_ac5_states_are_certified_on_the_whole_channel(self, monkeypatch):
+        model = build_pendulum_dynamics(PendulumParams())
+        for u in np.linspace(0.0, 1.0, 25):
+            state = [-np.pi * (1 - u), -8.0 * (1 - u)]
+            res, ch, runs = recorded_oracle(monkeypatch, model, state)
+            assert res.converged
+            # every run is on a sub-channel: no fallback
+            assert all(r.input_distribution.size < ch.n_actions for r in runs)
+            assert res.iterations == 1 + sum(r.iterations + 1 for r in runs)
+            lower, upper = arimoto_bounds(ch.transition, res.input_distribution)
+            assert res.gap == pytest.approx(upper - lower, rel=1e-9)
+            assert res.capacity == res.lower_bounds[-1]
+            assert res.lower_bounds == runs[-1].lower_bounds + (res.capacity,)
+            assert np.all(np.diff(res.lower_bounds) >= -1e-12)
+            assert abs(res.capacity - blahut_arimoto(ch, tol=1e-9).capacity) < 1e-3
+
+    @pytest.mark.parametrize("case", ["budget", "zero_mass"])
+    def test_fallback_is_blahut_arimoto_on_the_whole_channel(self, monkeypatch, case):
+        if case == "budget":
+            model, state = shift_model(0.5), [0.0]
+        else:
+            model, state = random_net_state(monkeypatch, 0, 1)
+        res, ch, runs = recorded_oracle(monkeypatch, model, state)
+        *stages, whole = runs
+        assert stages and whole.input_distribution.size == ch.n_actions == 64
+        spent = 1 + sum(r.iterations + 1 for r in stages)
+        if case == "budget":
+            # the next stage would need two evaluations past 64 // 2
+            assert spent + 2 > 32
+        else:
+            # every action alone leaves without mass a bin that another
+            # action reaches, so the one-action stage falls back at once
+            P = ch.transition
+            assert ((P == 0) & (P.sum(axis=0) > 0)).any(axis=1).all()
+            assert len(stages) == 1 and spent == 3
+        ref = blahut_arimoto(ch, tol=1e-3)
+        assert res.capacity == ref.capacity
+        assert res.gap == ref.gap
+        assert res.converged == ref.converged
+        assert np.array_equal(res.input_distribution, ref.input_distribution)
+        assert res.lower_bounds == ref.lower_bounds
+        assert res.iterations == ref.iterations + spent
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["shift", "zero_mass"])
+    def test_cut_solve_reports_bounds_of_its_input(self, monkeypatch, case, max_iter):
+        if case == "shift":
+            model, state = shift_model(0.5), [0.0]
+        else:
+            model, state = random_net_state(monkeypatch, 0, 1)
+        res, ch, _ = recorded_oracle(monkeypatch, model, state, max_iter=max_iter)
+        assert res.iterations <= max_iter
+        assert not res.converged
+        lower, upper = arimoto_bounds(ch.transition, res.input_distribution)
+        assert res.capacity == pytest.approx(max(lower, 0.0), abs=1e-12)
+        assert res.gap == pytest.approx(upper - lower, rel=1e-9)

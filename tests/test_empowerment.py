@@ -801,9 +801,11 @@ class TestBoundedTwoActionChannel:
     @pytest.mark.parametrize("seed", range(20))
     def test_converges_at_its_objective_value(self, seed):
         # the identity-tagged net runs away to ~59 nats unconverged on half
-        # of these seeds; bounded noise gives every ascent a maximum
+        # of these seeds; bounded noise gives every ascent a maximum.  The
+        # seed places restart 1's kick (restart 0 starts at the same point
+        # on every seed), so each seed runs a distinct second ascent
         model, state = mixed_tag_model("tanh"), [0.3, -0.4]
-        opts = OptimizerOptions(seed=seed)
+        opts = OptimizerOptions(restarts=2, seed=seed)
         est = maximize_empowerment(model, state, opts)
         assert est.converged
         assert est.value == mi_lower_bound(

@@ -110,6 +110,16 @@ class TestLayerSpec:
         with pytest.raises(ValueError, match="at least one layer"):
             FeedforwardNet(())
 
+    @pytest.mark.parametrize(
+        "layers",
+        [5, None, LayerSpec(np.ones((2, 2)), np.zeros(2))],
+        ids=["int", "none", "bare_layer"],
+    )
+    def test_layers_that_are_not_a_sequence_rejected(self, layers):
+        # these failed in tuple(layers) with TypeError "not iterable"
+        with pytest.raises(ValueError, match="at least one layer"):
+            FeedforwardNet(layers)
+
     @pytest.mark.parametrize("entry", [[1], None, "tanh"])
     def test_entry_that_is_not_a_layer_rejected(self, entry):
         layer = LayerSpec(np.ones((2, 2)), np.zeros(2))

@@ -242,6 +242,18 @@ class TestSmoothStep:
         with pytest.raises(ValueError, match=message):
             pendulum_step_smooth(state, 0.0, PendulumParams())
 
+    @pytest.mark.parametrize("params", [None, {"mass": 1.0}], ids=["none", "dict"])
+    def test_bad_params_rejected(self, params):
+        # None raised AttributeError on p.max_torque
+        state = PendulumState(0.3, -1.0)
+        for step in (
+            lambda: pendulum_step_smooth(state.as_vector(), 0.0, params),
+            lambda: pendulum_step(state, 0.0, params),
+            lambda: build_pendulum_dynamics(params),
+        ):
+            with pytest.raises(ValueError, match="p must be a PendulumParams"):
+                step()
+
 
 class TestDynamicsNet:
     def test_net_mean_equals_smooth_step(self):

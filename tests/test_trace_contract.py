@@ -3,10 +3,11 @@
 ``perfbench/run.py --trace 1`` wraps module attributes from outside and
 derives its per-layer metrics from the spans they record:
 ``empowerment.maximize_empowerment`` per landscape cell and per
-``select_action`` candidate, and ``channel.discretize_dynamics`` and
-``channel.blahut_arimoto`` inside ``oracle_empowerment``.  A refactor that
-stops looking these names up through their modules leaves the spans empty,
-and the benchmark then prints ``null`` for metrics such as
+``select_action`` candidate, and ``channel.discretize_dynamics`` (once)
+and ``channel.blahut_arimoto`` (once per stage of the staged solve)
+inside ``oracle_empowerment``.  A refactor that stops looking these
+names up through their modules leaves the spans empty, and the
+benchmark then prints ``null`` for metrics such as
 ``empowerment.estimate_ms``, ``empowerment.iterations_mean`` and
 ``empowerment.converged_frac``.  These tests wrap the same names the same
 way and count the calls.  The traced run also times the estimator's
@@ -37,12 +38,14 @@ QUICK = OptimizerOptions(restarts=1, max_iter=3, mc_samples=4)
 
 
 def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name``; the returned list gets each call's result."""
     calls = []
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
+        result = original(*args, **kwargs)
+        calls.append(result)
+        return result
 
     monkeypatch.setattr(module, name, counted)
     return calls
@@ -67,14 +70,19 @@ def test_select_action_estimates_each_candidate_through_maximize_empowerment(
     assert len(conditional) == 1
 
 
-def test_oracle_discretizes_and_runs_blahut_arimoto_once(monkeypatch):
+def test_oracle_discretizes_once_and_runs_blahut_arimoto_through_the_module(
+    monkeypatch,
+):
     conditional = count_calls(monkeypatch, DynamicsModel, "conditional")
     discretize = count_calls(monkeypatch, empkit.channel, "discretize_dynamics")
     ba = count_calls(monkeypatch, empkit.channel, "blahut_arimoto")
-    oracle_empowerment(MODEL, [0.0, 0.0], n_actions=8, bins=11)
+    res = oracle_empowerment(MODEL, [-np.pi / 2, -4.0])
     assert len(conditional) == 1
     assert len(discretize) == 1
-    assert len(ba) == 1
+    assert len(ba) >= 1
+    # every Blahut-Arimoto evaluation is a wrapped call's, except one
+    # certificate on the whole channel after each sub-run and the start
+    assert res.iterations == sum(r.iterations for r in ba) + len(ba) + 1
 
 
 def test_benchmark_probes_run_at_an_ac5_state(monkeypatch):

@@ -17,7 +17,10 @@ seed t over the three default torques, as ``empkit rollout`` runs it).
 Off the pendulum, it prints the mean and maximum calls at one restart
 (default options) over 24 random bounded nets of 8 tanh/sine hidden
 units and output noise 0.05 / 0.1, net i from ``default_rng(1000 + i)``,
-each at 5 states uniform in [-1, 1]^2 drawn from the same generator.
+each at 5 states uniform in [-1, 1]^2 drawn from the same generator,
+then the mean and maximum evaluations of ``oracle_empowerment`` at its
+defaults on those 120 states, and on five 1-D shift channels x' = x + a
++ N(0, sigma^2) (sigma 0.5, 0.2, 0.1, 0.05, 0.02) at state 0.
 Its last line counts ``blahut_arimoto`` at its defaults on 600 random
 channels (from ``default_rng(0)``, sizes from ``integers(1, 7, size=2)``
 and Dirichlet rows with alpha cycling over 0.2 / 1 / 5): the draws that
@@ -38,6 +41,7 @@ ROLLOUT_STEPS = 50
 RANDOM_NETS = 24
 RANDOM_NET_STATES = 5
 RANDOM_CHANNELS = 600
+SHIFT_SIGMAS = (0.5, 0.2, 0.1, 0.05, 0.02)
 
 
 def random_net(rng):
@@ -56,6 +60,14 @@ def random_net(rng):
         ("tanh", "tanh", "identity", "identity"),
     )
     return DynamicsModel(FeedforwardNet((hidden, out)), 2, 1)
+
+
+def shift_model(sigma):
+    """The one-state, one-action model x' = x + a + N(0, sigma^2)."""
+    from empkit import DynamicsModel, FeedforwardNet, LayerSpec
+
+    layer = LayerSpec([[1.0, 1.0], [0.0, 0.0]], [0.0, np.log(sigma)])
+    return DynamicsModel(FeedforwardNet((layer,)), 1, 1)
 
 
 def random_channel_evaluations():
@@ -128,12 +140,17 @@ def evaluations():
             for i, s in enumerate(cfg.grid_states())
         ]
         steps = rollout(ROLLOUT_STEPS)
-        nets = []
+        nets, net_ba = [], []
         for i in range(RANDOM_NETS):
             rng = np.random.default_rng(1000 + i)
             net = random_net(rng)
             for s in rng.uniform(-1.0, 1.0, (RANDOM_NET_STATES, 2)):
                 nets.append(count(net, s, OptimizerOptions()))
+                net_ba.append(oracle_empowerment(net, s).iterations)
+        shift_ba = [
+            oracle_empowerment(shift_model(sigma), [0.0]).iterations
+            for sigma in SHIFT_SIGMAS
+        ]
     finally:
         empkit.empowerment._mi_core = mi_core
 
@@ -153,6 +170,14 @@ def evaluations():
     lines.append(
         f"random {RANDOM_NETS} nets x {RANDOM_NET_STATES} states calls "
         f"mean {np.mean(nets):.2f} max {max(nets)}"
+    )
+    lines.append(
+        f"random {RANDOM_NETS} nets x {RANDOM_NET_STATES} states oracle evaluations "
+        f"mean {np.mean(net_ba):.2f} max {max(net_ba)}"
+    )
+    lines.append(
+        f"shift {len(SHIFT_SIGMAS)} channels oracle evaluations "
+        f"mean {np.mean(shift_ba):.2f} max {max(shift_ba)}"
     )
     unconverged, counts = random_channel_evaluations()
     lines.append(

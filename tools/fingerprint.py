@@ -19,8 +19,8 @@ package) and prints ``float.hex`` of a fixed set of outputs, one per line:
   ``forward_point`` on a vector, an (n, in) batch and an (n, 1, in)
   stack, and ``DynamicsModel.conditional`` on one action and on a batch;
 * ``oracle_empowerment`` at AC-5's settings on its 25-state diagonal: the
-  sha256 of the channel handed to ``blahut_arimoto`` and the iteration
-  count on one line, capacity and gap on the next;
+  sha256 of the channel ``discretize_dynamics`` returns and the
+  iteration count on one line, capacity and gap on the next;
 * the two-action estimator on the mixed-tag net: ``mi_lower_bound``,
   ``mi_lower_bound_with_gradient`` and ``marginal_transition`` at 10
   seeded random states and policies (the draw counts and seeds passed
@@ -198,14 +198,15 @@ def oracle_fingerprint(model):
     from empkit import oracle_empowerment
 
     channels = []
-    run_ba = empkit.channel.blahut_arimoto
+    discretize = empkit.channel.discretize_dynamics
 
-    def recording_ba(ch, *args, **kwargs):
+    def recording_discretize(*args):
+        ch = discretize(*args)
         channels.append(np.ascontiguousarray(ch.transition))
-        return run_ba(ch, *args, **kwargs)
+        return ch
 
     lines = []
-    empkit.channel.blahut_arimoto = recording_ba
+    empkit.channel.discretize_dynamics = recording_discretize
     try:
         for i, u in enumerate(np.linspace(0.0, 1.0, 25)):
             s = np.array([-np.pi * (1 - u), -8.0 * (1 - u)])
@@ -214,7 +215,7 @@ def oracle_fingerprint(model):
             lines.append(f"oracle[{i}] channel {digest} iterations {res.iterations}")
             lines.append(f"oracle[{i}] capacity {_hex(res.capacity)} gap {_hex(res.gap)}")
     finally:
-        empkit.channel.blahut_arimoto = run_ba
+        empkit.channel.discretize_dynamics = discretize
     return lines
 
 
